@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check prop bench bench-smoke pages-guard bench-baseline bench-new benchstat bench-json bench-flat bench-parallel bench-grid scal serve smoke-server bench-service metrics-smoke journal-smoke mutate-smoke crash-smoke
+.PHONY: build test race vet check prop bench bench-smoke bench-module-smoke pages-guard bench-baseline bench-new benchstat bench-json bench-flat bench-parallel bench-grid scal serve smoke-server bench-service metrics-smoke journal-smoke mutate-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-check: build vet race prop metrics-smoke journal-smoke mutate-smoke crash-smoke
+check: build vet race prop metrics-smoke journal-smoke mutate-smoke crash-smoke bench-module-smoke
 
 # Observability slice under the race detector: the obs metric/trace
 # primitives (concurrent scrape-while-mutate, shared-trace Add) and the
@@ -66,6 +66,13 @@ bench:
 # paying for stable numbers. CI runs this on every push.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
+
+# The service benchmark's own smoke test (bench/ is a module of its own,
+# so the root ./... never reaches it): all four workloads on short windows
+# with their oracles, including mutate-live's check that a subscriber's
+# baseline plus its churn equals a fresh join. CI runs it on every push.
+bench-module-smoke:
+	cd bench && $(GO) test ./...
 
 # Pages guard: recompute the Fig. 7 joins and assert pages/op is
 # byte-identical to the committed BENCH_nmcij.json for NM/PM/FM, and that

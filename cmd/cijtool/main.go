@@ -334,8 +334,9 @@ func runDelta(args []string) error {
 			Removed       []core.Pair `json:"removed"`
 			AffectedSites int         `json:"affected_sites"`
 			Probes        int         `json:"probes"`
+			Cells         int         `json:"cells"`
 			PageAccesses  int64       `json:"page_accesses"`
-		}{res.Added, res.Removed, res.Affected, res.Probes, io.PageAccesses()}
+		}{res.Added, res.Removed, res.Affected, res.Probes, res.Cells, io.PageAccesses()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -349,8 +350,8 @@ func runDelta(args []string) error {
 			fmt.Printf("+pair\t%d\t%d\n", pr.P, pr.Q)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "delta(%s ⋈ %s): %d changes, +%d/-%d pairs, %d sites recomputed, %d probes\n",
-		*pPath, *qPath, len(changes), len(res.Added), len(res.Removed), res.Affected, res.Probes)
+	fmt.Fprintf(os.Stderr, "delta(%s ⋈ %s): %d changes, +%d/-%d pairs, %d sites recomputed, %d probes, %d cells\n",
+		*pPath, *qPath, len(changes), len(res.Added), len(res.Removed), res.Affected, res.Probes, res.Cells)
 	fmt.Fprintf(os.Stderr, "I/O: %d page accesses; CPU %v\n", io.PageAccesses(), elapsed.Round(time.Millisecond))
 
 	if *verify {

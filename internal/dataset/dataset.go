@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -185,8 +186,16 @@ func WriteCSV(w io.Writer, pts []geom.Point) error {
 	return bw.Flush()
 }
 
+// maxCoord bounds the magnitude of a coordinate ReadCSV accepts: any two
+// accepted values differ by at most MaxFloat64/2, so the bounding-box span
+// Normalize divides by stays finite.
+const maxCoord = math.MaxFloat64 / 4
+
 // ReadCSV parses "x,y" lines (blank lines and #-comments skipped) and
-// normalizes nothing: callers normalize if needed.
+// normalizes nothing: callers normalize if needed. A coordinate must be a
+// finite number of magnitude at most MaxFloat64/4; strconv.ParseFloat also
+// accepts "NaN" and "Inf", which would poison every bounding box built
+// from the points.
 func ReadCSV(r io.Reader) ([]geom.Point, error) {
 	var pts []geom.Point
 	sc := bufio.NewScanner(r)
@@ -202,11 +211,11 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("dataset: line %d: want \"x,y\", got %q", line, txt)
 		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		x, err := parseCoord(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %v", line, err)
 		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		y, err := parseCoord(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %v", line, err)
 		}
@@ -216,6 +225,20 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 		return nil, err
 	}
 	return pts, nil
+}
+
+// parseCoord parses one CSV coordinate and rejects the values ReadCSV
+// does not accept.
+func parseCoord(field string) (float64, error) {
+	field = strings.TrimSpace(field)
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.Abs(v) > maxCoord {
+		return 0, fmt.Errorf("coordinate %q is not a finite number of magnitude at most %g", field, maxCoord)
+	}
+	return v, nil
 }
 
 // Normalize rescales points so their bounding box maps onto the domain,

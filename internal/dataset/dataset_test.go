@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -178,6 +179,15 @@ func TestReadCSVMalformedRows(t *testing.T) {
 		{"too many fields", "1,2\n3,4,5\n", "line 2"},
 		{"bad x", "# ok\nx,2\n", "line 2"},
 		{"bad y", "1,2\n\n3,yy\n", "line 3"},
+		{"NaN x", "1,2\nNaN,4\n", "line 2"},
+		{"nan y", "1,nan\n", "line 1"},
+		{"Inf x", "Inf,2\n", "line 1"},
+		{"+Inf y", "1,2\n3,+Inf\n", "line 2"},
+		{"-Inf x", "# c\n-inf,2\n", "line 2"},
+		{"infinity y", "1,Infinity\n", "line 1"},
+		{"overflow to Inf", "1e400,2\n", "line 1"},
+		{"beyond MaxFloat64/4", "1,2\n3,4\n5,1e308\n", "line 3"},
+		{"negative beyond MaxFloat64/4", "-1e308,2\n", "line 1"},
 	} {
 		pts, err := ReadCSV(strings.NewReader(tc.in))
 		if err == nil {
@@ -186,6 +196,21 @@ func TestReadCSVMalformedRows(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantInErr) {
 			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.wantInErr)
+		}
+	}
+}
+
+// TestReadCSVLargeFiniteCoordinates: the largest accepted magnitudes
+// still normalize to finite points inside the domain.
+func TestReadCSVLargeFiniteCoordinates(t *testing.T) {
+	lim := strconv.FormatFloat(math.MaxFloat64/4, 'g', -1, 64)
+	pts, err := ReadCSV(strings.NewReader("-" + lim + ",0\n" + lim + "," + lim + "\n0,-" + lim + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range Normalize(pts) {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || !Domain.Contains(p) {
+			t.Fatalf("normalized point %v is not a finite point of the domain", p)
 		}
 	}
 }

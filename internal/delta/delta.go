@@ -33,11 +33,23 @@
 //     convexity. So every site whose cell meets C lies within R of C's
 //     bounding box, and one range search bounds the candidates exactly.
 //
-// Per affected site the engine recomputes the exact old and new cells
-// (voronoi.Workspace.BFVor against the before/after trees) and diffs the
-// site's join partners under the exact core.CellsJoinWith predicate, so
-// the emitted churn reproduces a full recompute byte-for-byte at the
-// pair-set level.
+// Per affected site the engine takes the exact old and new cells and
+// diffs the site's join partners under the exact core.CellsJoinWith
+// predicate, so the emitted churn reproduces a full recompute
+// byte-for-byte at the pair-set level.
+//
+// Cost. One call computes each Voronoi cell at most once. Cells are
+// memoized per call, keyed by the tree they belong to (before, after or
+// opposite) and the site ID, so the screening regions, the screened
+// candidates, the phase-2 old and new cells and every opposite-side
+// partner probe share one copy: neighbouring changes and neighbouring
+// affected sites probe largely the same cells. The uncached candidates of
+// one range search are spatially compact, so they are computed together
+// by Algorithm 2 (voronoi.Workspace.BatchVoronoi), one traversal per
+// leaf's worth of candidates, instead of one BF-VOR traversal each, and an
+// MBR overlap test skips the polygon clip for candidates whose cell cannot
+// meet the region. The cost of a call therefore scales with the distinct
+// cells it touches, not with the probes it runs.
 package delta
 
 import (
@@ -46,6 +58,7 @@ import (
 
 	"cij/internal/core"
 	"cij/internal/geom"
+	"cij/internal/pq"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 	"cij/internal/voronoi"
@@ -92,19 +105,25 @@ type Change struct {
 
 // Result is the pair churn of one mutation batch: the pairs that exist
 // after but not before (Added) and before but not after (Removed), both
-// sorted lexicographically. Affected and Probes are the work metric — how
-// many mutated-side cells were recomputed and how many opposite-side
-// membership tests ran — the numbers that make "incremental beats
-// recompute" measurable per event.
+// sorted lexicographically. Affected, Probes and Cells are the work
+// metric — how many mutated-side sites were re-examined, how many
+// opposite-side membership tests ran and how many Voronoi cells were
+// computed — the numbers that make "incremental beats recompute"
+// measurable per event.
 type Result struct {
 	Added   []core.Pair
 	Removed []core.Pair
-	// Affected counts mutated-side sites whose cells were recomputed
-	// (changed points included).
+	// Affected counts mutated-side sites whose old and new join partners
+	// were diffed (changed points included).
 	Affected int
-	// Probes counts exact join-predicate evaluations against the opposite
-	// dataset.
+	// Probes counts opposite-side candidates tested against an affected
+	// site's cell, including those the MBR prefilter rejects before the
+	// exact join predicate.
 	Probes int
+	// Cells counts exact Voronoi cell computations, on all three trees. A
+	// cell is computed at most once per call, so Cells is at most the
+	// number of distinct (tree, site) cells the call touched.
+	Cells int
 }
 
 // affectedSite tracks where one mutated-side site lives before and after
@@ -115,12 +134,41 @@ type affectedSite struct {
 	inOld, inNew bool
 }
 
-// engine bundles the reusable scratch of one PairChurn call.
+// role names one of PairChurn's three trees.
+type role uint8
+
+const (
+	roleOld   role = iota // the mutated dataset before the batch
+	roleNew               // the mutated dataset after the batch
+	roleOther             // the unchanged opposite dataset
+)
+
+// cellKey names one cell of one call: a site ID is unique within a tree,
+// so the tree's role and the ID identify the cell. Roles, not tree
+// pointers, keep the key meaningful whatever handles the caller passes.
+type cellKey struct {
+	role role
+	id   int64
+}
+
+// cell is a memoized Voronoi cell and its bounding box.
+type cell struct {
+	poly geom.Polygon
+	box  geom.Rect
+}
+
+// engine bundles the trees, the cell memo and the reusable scratch of one
+// PairChurn call.
 type engine struct {
-	ws     voronoi.Workspace // cell computation (results cloned when retained)
-	probe  voronoi.Workspace // candidate-cell computation inside screens
-	cl     geom.Clipper      // intersection tests; never aliases ws/probe output
+	trees  [3]*rtree.Tree // indexed by role
 	domain geom.Rect
+	memo   map[cellKey]cell
+	ws     voronoi.Workspace // cell computation; results are cloned into memo
+	q      pq.Queue          // anchor 1-NN
+	cl     geom.Clipper      // intersection tests; inputs are memo-owned
+	group  []voronoi.Site    // uncached candidates of one range search
+	batch  []voronoi.Cell    // BatchVoronoi output
+	cells  int
 	probes int
 }
 
@@ -132,8 +180,18 @@ type engine struct {
 // only read; any handle kind works (paged views, flat views, mutable
 // clones).
 func PairChurn(oldM, newM, other *rtree.Tree, changes []Change, mutatedLeft bool, domain geom.Rect) Result {
-	e := &engine{domain: domain}
+	return newEngine(oldM, newM, other, domain).churn(changes, mutatedLeft)
+}
 
+func newEngine(oldM, newM, other *rtree.Tree, domain geom.Rect) *engine {
+	return &engine{
+		trees:  [3]*rtree.Tree{roleOld: oldM, roleNew: newM, roleOther: other},
+		domain: domain,
+		memo:   make(map[cellKey]cell),
+	}
+}
+
+func (e *engine) churn(changes []Change, mutatedLeft bool) Result {
 	// Phase 1: collect affected mutated-side sites. The changed points
 	// seed the map with exact before/after placement; the screens add
 	// every survivor whose cell geometry can have changed.
@@ -162,14 +220,12 @@ func PairChurn(oldM, newM, other *rtree.Tree, changes []Change, mutatedLeft bool
 		if c.Op == OpInsert || c.Op == OpUpdate {
 			// Survivors whose OLD cell overlaps the inserted position's NEW
 			// cell may have lost territory to it.
-			region := e.ws.BFVor(newM, voronoi.Site{ID: c.ID, Pt: c.New}, domain).Clone()
-			e.sitesTouching(oldM, region, mark)
+			e.sitesTouching(roleOld, e.cell(roleNew, voronoi.Site{ID: c.ID, Pt: c.New}), mark)
 		}
 		if c.Op == OpDelete || c.Op == OpUpdate {
 			// Survivors whose NEW cell overlaps the deleted position's OLD
 			// cell may have gained its territory.
-			region := e.ws.BFVor(oldM, voronoi.Site{ID: c.ID, Pt: c.Old}, domain).Clone()
-			e.sitesTouching(newM, region, mark)
+			e.sitesTouching(roleNew, e.cell(roleOld, voronoi.Site{ID: c.ID, Pt: c.Old}), mark)
 		}
 	}
 
@@ -191,12 +247,10 @@ func PairChurn(oldM, newM, other *rtree.Tree, changes []Change, mutatedLeft bool
 		clear(oldSet)
 		clear(newSet)
 		if s.inOld {
-			region := e.ws.BFVor(oldM, voronoi.Site{ID: id, Pt: s.oldPt}, domain).Clone()
-			e.joinPartners(other, region, mutatedLeft, oldSet)
+			e.joinPartners(e.cell(roleOld, voronoi.Site{ID: id, Pt: s.oldPt}), mutatedLeft, oldSet)
 		}
 		if s.inNew {
-			region := e.ws.BFVor(newM, voronoi.Site{ID: id, Pt: s.newPt}, domain).Clone()
-			e.joinPartners(other, region, mutatedLeft, newSet)
+			e.joinPartners(e.cell(roleNew, voronoi.Site{ID: id, Pt: s.newPt}), mutatedLeft, newSet)
 		}
 		for q := range oldSet {
 			if !newSet[q] {
@@ -212,6 +266,7 @@ func PairChurn(oldM, newM, other *rtree.Tree, changes []Change, mutatedLeft bool
 	core.SortPairs(res.Added)
 	core.SortPairs(res.Removed)
 	res.Probes = e.probes
+	res.Cells = e.cells
 	return res
 }
 
@@ -223,56 +278,116 @@ func orient(mutated, other int64, mutatedLeft bool) core.Pair {
 	return core.Pair{P: other, Q: mutated}
 }
 
-// candidates enumerates every site of t whose Voronoi cell can intersect
-// the convex region (the Lemma 1 bound in range-query form, see the
-// package comment) and hands each to visit together with its exact cell.
-// The cell polygon aliases e.probe and is only valid inside visit.
-func (e *engine) candidates(t *rtree.Tree, region geom.Polygon, visit func(s voronoi.Site, cell geom.Polygon)) {
-	if region.IsEmpty() || t.Root() == storage.InvalidPage {
+// cell returns the exact Voronoi cell of site s in the tree of role r,
+// computing it with one BF-VOR traversal on first use.
+func (e *engine) cell(r role, s voronoi.Site) cell {
+	k := cellKey{r, s.ID}
+	if c, ok := e.memo[k]; ok {
+		return c
+	}
+	return e.keep(k, e.ws.BFVor(e.trees[r], s, e.domain))
+}
+
+// keep memoizes a freshly computed cell under k. poly may alias the
+// workspace; the memo holds a copy.
+func (e *engine) keep(k cellKey, poly geom.Polygon) cell {
+	c := cell{poly: poly.Clone(), box: poly.Bounds()}
+	e.memo[k] = c
+	e.cells++
+	return c
+}
+
+// candidates enumerates every site of the tree of role r whose Voronoi
+// cell can intersect the convex region (the Lemma 1 bound in range-query
+// form, see the package comment) and hands each to visit together with
+// its exact cell. The candidates whose cells are not memoized yet lie in
+// one search box, so they are computed together by Algorithm 2, one
+// traversal per leaf's worth of sites: the range search returns them leaf
+// by leaf, so each group is as compact as the paper's leaf batches. One
+// traversal for a whole search box would cost the group size times the
+// entries it visits, which is quadratic when a huge cell (a site alone in
+// an empty region) meets thousands of candidates.
+func (e *engine) candidates(r role, region cell, visit func(s voronoi.Site, c cell)) {
+	t := e.trees[r]
+	if region.poly.IsEmpty() || t.Root() == storage.InvalidPage {
 		return
 	}
-	b := region.Bounds()
-	anchor := t.KNN(b.Center(), 1, nil)
-	if len(anchor) == 0 {
+	b := region.box
+	anchor, ok := e.nearest(t, b.Center())
+	if !ok {
 		return
 	}
-	r := math.Sqrt(geom.MaxDist2(region.V, anchor[0].Pt))
+	rad := math.Sqrt(geom.MaxDist2(region.poly.V, anchor))
 	// Widen by a relative epsilon: the bound is exact in real arithmetic,
 	// and the slack keeps borderline sites (duplicates of the anchor on
 	// the region boundary, degenerate slivers) inside the search box.
-	r += r*1e-9 + 1e-9
-	search := geom.NewRect(b.MinX-r, b.MinY-r, b.MaxX+r, b.MaxY+r)
-	for _, ent := range t.RangeSearch(search) {
-		s := voronoi.Site{ID: ent.ID, Pt: ent.Pt}
-		visit(s, e.probe.BFVor(t, s, e.domain))
+	rad += rad*1e-9 + 1e-9
+	found := t.RangeSearch(geom.NewRect(b.MinX-rad, b.MinY-rad, b.MaxX+rad, b.MaxY+rad))
+	e.group = e.group[:0]
+	for _, ent := range found {
+		if _, ok := e.memo[cellKey{r, ent.ID}]; !ok {
+			e.group = append(e.group, voronoi.Site{ID: ent.ID, Pt: ent.Pt})
+		}
+	}
+	leaf := rtree.MaxPointEntries(t.Buffer().Disk().PageSize())
+	for g := e.group; len(g) > 0; {
+		n := min(len(g), leaf)
+		e.batch = e.ws.BatchVoronoi(t, g[:n], e.domain, e.batch[:0])
+		for _, c := range e.batch {
+			e.keep(cellKey{r, c.Site.ID}, c.Poly)
+		}
+		g = g[n:]
+	}
+	for _, ent := range found {
+		visit(voronoi.Site{ID: ent.ID, Pt: ent.Pt}, e.memo[cellKey{r, ent.ID}])
 	}
 }
 
-// sitesTouching emits every site of t whose cell overlaps region with
-// positive area — the affected-site screen.
-func (e *engine) sitesTouching(t *rtree.Tree, region geom.Polygon, emit func(voronoi.Site)) {
-	e.candidates(t, region, func(s voronoi.Site, cell geom.Polygon) {
-		if cell.IsEmpty() {
+// nearest returns the position of t's site nearest to p, by a best-first
+// 1-NN traversal over the typed queue; ok is false for a tree without
+// points.
+func (e *engine) nearest(t *rtree.Tree, p geom.Point) (pt geom.Point, ok bool) {
+	q := &e.q
+	q.Reset()
+	q.PushNode(t.ReadNode(t.Root()), p)
+	for q.Len() > 0 {
+		it := q.Pop()
+		if it.Leaf {
+			return it.Pt(), true
+		}
+		q.PushNode(t.ReadNode(it.Child()), p)
+	}
+	return geom.Point{}, false
+}
+
+// sitesTouching emits every site of the tree of role r whose cell
+// overlaps region with positive area — the affected-site screen.
+func (e *engine) sitesTouching(r role, region cell, emit func(voronoi.Site)) {
+	e.candidates(r, region, func(s voronoi.Site, c cell) {
+		if c.poly.IsEmpty() || !region.box.Intersects(c.box) {
 			return
 		}
-		if e.cl.Intersect(region, cell).Area() > 0 {
+		if e.cl.Intersect(region.poly, c.poly).Area() > 0 {
 			emit(s)
 		}
 	})
 }
 
-// joinPartners collects into dst the IDs of every site of other whose
-// cell joins region under the exact CIJ predicate. regionLeft fixes the
-// operand order of the predicate so the verdict is evaluated exactly as a
-// full join would evaluate it.
-func (e *engine) joinPartners(other *rtree.Tree, region geom.Polygon, regionLeft bool, dst map[int64]bool) {
-	e.candidates(other, region, func(s voronoi.Site, cell geom.Polygon) {
+// joinPartners collects into dst the IDs of every site of the opposite
+// tree whose cell joins region under the exact CIJ predicate. regionLeft
+// fixes the operand order of the predicate so the verdict is evaluated
+// exactly as a full join would evaluate it.
+func (e *engine) joinPartners(region cell, regionLeft bool, dst map[int64]bool) {
+	e.candidates(roleOther, region, func(s voronoi.Site, c cell) {
 		e.probes++
+		if !region.box.Intersects(c.box) {
+			return // disjoint boxes: no common area, the predicate is false
+		}
 		var joins bool
 		if regionLeft {
-			joins = core.CellsJoinWith(&e.cl, region, cell)
+			joins = core.CellsJoinWith(&e.cl, region.poly, c.poly)
 		} else {
-			joins = core.CellsJoinWith(&e.cl, cell, region)
+			joins = core.CellsJoinWith(&e.cl, c.poly, region.poly)
 		}
 		if joins {
 			dst[s.ID] = true

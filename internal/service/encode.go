@@ -265,12 +265,17 @@ type DeltaSummaryJSON struct {
 	Mutated string `json:"mutated"`
 	Added   int    `json:"added"`
 	Removed int    `json:"removed"`
-	// AffectedSites counts mutated-side Voronoi cells recomputed; Probes
-	// counts exact join-predicate evaluations — the work that replaced a
-	// full |P|·|Q| recompute.
-	AffectedSites int           `json:"affected_sites"`
-	Probes        int           `json:"probes"`
-	Stats         JoinStatsJSON `json:"stats"`
+	// AffectedSites counts mutated-side sites whose join partners were
+	// re-derived; Probes counts opposite-side candidate cells tested
+	// against them — the work that replaced a full |P|·|Q| recompute.
+	AffectedSites int `json:"affected_sites"`
+	Probes        int `json:"probes"`
+	// Cells counts the exact Voronoi cells the delta engine computed, on
+	// the mutated dataset's old and new versions and the opposite one.
+	// The engine computes each cell at most once per mutation, so Cells
+	// is typically well below Probes.
+	Cells int           `json:"cells"`
+	Stats JoinStatsJSON `json:"stats"`
 }
 
 // StreamDelta is the terminal line of one mutation's event burst.

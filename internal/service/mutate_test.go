@@ -340,6 +340,12 @@ func TestSubscribeChurn(t *testing.T) {
 	if deltas[0].Mutated != "left" || deltas[1].Mutated != "right" {
 		t.Fatalf("delta mutated sides = %q/%q, want left/right", deltas[0].Mutated, deltas[1].Mutated)
 	}
+	for _, d := range deltas {
+		// Every change's own cell is computed, so the counter is never 0.
+		if d.Cells < 1 || d.AffectedSites < 1 {
+			t.Fatalf("delta summary reports %d cells for %d affected sites, want both >= 1", d.Cells, d.AffectedSites)
+		}
+	}
 	if added == 0 {
 		// An inserted point always owns a positive-area Voronoi cell, and
 		// the opposite cells tile the domain, so an insert churns >= 1 pair.

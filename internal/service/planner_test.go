@@ -13,12 +13,15 @@ import (
 // fakeDataset fabricates a registry entry with the given cardinality and
 // skew statistic; plan() reads nothing else.
 func fakeDataset(n int, skew float64) *Dataset {
-	return &Dataset{Points: dataset.Uniform(n, 7), Skew: skew}
+	return &Dataset{Points: dataset.Uniform(n, 7), Live: n, Skew: skew}
 }
 
 // TestPlanSelection covers every routing path of the auto planner plus
-// the explicit choices, including the new grid branches.
+// the explicit choices, including the new grid branches. The planner only
+// reads GOMAXPROCS, so the test pins it: every branch, auto-parallel
+// included, runs whatever the host's core count.
 func TestPlanSelection(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	uniform := func(n int) *Dataset { return fakeDataset(n, 1.0) }
 	skewed := func(n int) *Dataset { return fakeDataset(n, 2*autoGridSkewMax) }
 
@@ -57,18 +60,16 @@ func TestPlanSelection(t *testing.T) {
 		t.Fatal("unknown algo accepted")
 	}
 
-	// The auto-parallel branch fires only when the pool can exceed one
-	// worker, which a single-core runner cannot express.
-	if runtime.GOMAXPROCS(0) > 1 {
-		big := uniform(2 * autoPointsPerWorker)
-		for _, d := range []*Dataset{big, fakeDataset(2*autoPointsPerWorker, 2*autoGridSkewMax)} {
-			pl, err := plan(Query{}, d, big)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl.Algo != "parallel" {
-				t.Errorf("auto large join planned %q, want parallel (skew %.1f)", pl.Algo, d.Skew)
-			}
+	// With GOMAXPROCS pinned at 4, two datasets of 2·autoPointsPerWorker
+	// live points each size a four-worker pool: auto plans parallel.
+	big := uniform(2 * autoPointsPerWorker)
+	for _, d := range []*Dataset{big, fakeDataset(2*autoPointsPerWorker, 2*autoGridSkewMax)} {
+		pl, err := plan(Query{}, d, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Algo != "parallel" {
+			t.Errorf("auto large join planned %q, want parallel (skew %.1f)", pl.Algo, d.Skew)
 		}
 	}
 }

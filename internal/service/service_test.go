@@ -380,6 +380,32 @@ func TestIngestHTTP(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsNonFiniteCoordinates: a CSV body with a NaN, an
+// infinity or a coordinate too large to normalize is the client's fault —
+// 400 naming the line, and no dataset registered under the name.
+func TestIngestRejectsNonFiniteCoordinates(t *testing.T) {
+	svc := service.New(service.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for i, body := range []string{"1,2\nNaN,4\n", "1,2\n3,Inf\n", "1,2\n-inf,4\n", "1,2\n3,1e308\n"} {
+		name := fmt.Sprintf("nonfinite%d", i)
+		resp, err := http.Post(ts.URL+"/datasets/"+name, "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "line 2") {
+			t.Errorf("POST %q: status %d, error %q; want 400 naming line 2", body, resp.StatusCode, e.Error)
+		}
+		if _, ok := svc.Registry().Get(name); ok {
+			t.Errorf("POST %q registered dataset %s", body, name)
+		}
+	}
+}
+
 // TestConcurrentJoins hammers one service from many goroutines across
 // plans, datasets and both endpoints — the race-detector workout for the
 // registry, cache, admission and per-request buffer forking.

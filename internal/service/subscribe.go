@@ -288,6 +288,7 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		Removed:       len(res.Removed),
 		AffectedSites: res.Affected,
 		Probes:        res.Probes,
+		Cells:         res.Cells,
 		Stats:         statsFromIO(io, wall),
 	}
 
@@ -319,7 +320,7 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		"left", leftName, "right", rightName,
 		"mutated", sum.Mutated,
 		"added", len(res.Added), "removed", len(res.Removed),
-		"affected_sites", res.Affected, "probes", res.Probes,
+		"affected_sites", res.Affected, "probes", res.Probes, "cells", res.Cells,
 		"pages", io.PageAccesses(),
 		"wall_ms", float64(wall)/float64(time.Millisecond),
 	)
