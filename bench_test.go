@@ -13,7 +13,6 @@ import (
 	"cij/internal/core"
 	"cij/internal/dataset"
 	"cij/internal/exp"
-	"cij/internal/joins"
 	"cij/internal/parallel"
 	"cij/internal/rtree"
 	"cij/internal/storage"
@@ -291,7 +290,7 @@ func BenchmarkTable3_PA_SC(b *testing.B) {
 //
 // The workers=W wall-clock divided into BenchmarkFig7_NMCIJ's is the
 // speedup curve; on a multicore machine 4 workers clear 1.5x comfortably
-// (the scal experiment of cmd/cijbench prints the same curve as a table).
+// (TestSpeedup asserts it where >= 4 CPUs are available).
 
 func benchParallel(b *testing.B, workers int, balanced, flat bool) {
 	var setup func(*exp.Env)
@@ -312,18 +311,15 @@ func benchParallel(b *testing.B, workers int, balanced, flat bool) {
 }
 
 // BenchmarkParallel_SpeedupCurve measures workers=1/2/4/8 over both
-// storage backends; `make bench-parallel` commits it as
-// BENCH_parallel.json. Dividing each width's ns/op into its own
-// workers=1 row gives the per-backend speedup curve — flat removes the
+// storage backends. Dividing each width's ns/op into its own workers=1
+// row gives the per-backend speedup curve — flat removes the
 // shared-buffer decode work from the span, so it is the curve where
 // multicore scaling is visible undiluted.
 func BenchmarkParallel_SpeedupCurve(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		// A single-CPU host serializes every worker pool, so the "curve"
-		// degenerates to 1.0x at all widths. Skipping keeps that
-		// meaningless flat line out of BENCH_parallel.json (whose host
-		// block records the CPU count and the skip reason precisely so
-		// readers can interpret absences like this one).
+		// degenerates to 1.0x at all widths; skipping keeps that
+		// meaningless flat line out of the results.
 		b.Skip("GOMAXPROCS=1: a speedup curve measured on one CPU records a misleading 1.0x everywhere")
 	}
 	for _, backend := range []struct {
@@ -341,32 +337,6 @@ func BenchmarkParallel_SpeedupCurve(b *testing.B) {
 }
 
 func BenchmarkParallel_Balanced4Workers(b *testing.B) { benchParallel(b, 4, true, false) }
-
-// --- Baseline operators (Section II-A), for context ---
-
-// Like the Fig. 7 benches (benchCIJ), the environment is rebuilt outside
-// the timer for every iteration, so each run starts from a cold buffer —
-// reusing one env across iterations made these numbers incomparable with
-// the CIJ rows (warm LRU buffer, no page faults after the first run).
-
-func BenchmarkBaseline_DistanceJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		env := benchEnv(b, benchN, benchN)
-		b.StartTimer()
-		count := 0
-		joins.DistanceJoin(env.RP, env.RQ, 100, func(joins.PointPair) { count++ })
-	}
-}
-
-func BenchmarkBaseline_ClosestPairs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		env := benchEnv(b, benchN, benchN)
-		b.StartTimer()
-		joins.ClosestPairs(env.RP, env.RQ, 100)
-	}
-}
 
 func itoa(n int) string {
 	if n == 0 {

@@ -19,14 +19,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,15 +38,9 @@ type experiment struct {
 }
 
 type config struct {
-	scale     float64
-	seed      int64
-	buffer    float64
-	workers   []int
-	clients   []int
-	serveAddr string
-	serveDur  time.Duration
-	serveJSON string
-	gridJSON  string
+	scale  float64
+	seed   int64
+	buffer float64
 }
 
 func scaled(n int, cfg config) int {
@@ -80,14 +72,7 @@ var experiments = []experiment{
 		return nil
 	}},
 	{"table1", "Table I: dataset inventory (real-like stand-ins)", func(cfg config) error {
-		rows, err := exp.RunTable2(0.001, cfg.seed) // tiny run just to list datasets
-		if err != nil {
-			return err
-		}
-		for i := range rows {
-			rows[i].N = int(float64(rows[i].N) * 1000 * cfg.scale) // report full-scale cardinality
-		}
-		exp.TableT1(rows).Fprint(os.Stdout)
+		exp.TableT1(cfg.scale).Fprint(os.Stdout)
 		return nil
 	}},
 	{"table2", "Table II: BATCH diagram computation on real-like datasets", func(cfg config) error {
@@ -137,56 +122,6 @@ var experiments = []experiment{
 		exp.TableFig11("Fig. 11b — exact P-cells computed vs ratio", "|Q|:|P|", rowsB).Fprint(os.Stdout)
 		return nil
 	}},
-	{"grid", "Grid in-memory backend vs NM-CIJ: wall-clock crossover by distribution", func(cfg config) error {
-		sizes := make([]int, len(exp.DefaultGridSizes))
-		for i, n := range exp.DefaultGridSizes {
-			sizes[i] = scaled(n, cfg)
-		}
-		rows := exp.RunGridCrossover(sizes, cfg.buffer, cfg.seed)
-		exp.TableGrid(rows).Fprint(os.Stdout)
-		if cfg.gridJSON != "" {
-			f, err := os.Create(cfg.gridJSON)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := exp.WriteGridJSON(f, rows, cfg.scale); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", cfg.gridJSON)
-		}
-		return nil
-	}},
-	{"scal", "Parallel NM-CIJ: wall-clock speedup vs worker count", func(cfg config) error {
-		rows := exp.RunScalability(scaled(100_000, cfg), cfg.workers, cfg.seed)
-		exp.TableScal(rows).Fprint(os.Stdout)
-		return nil
-	}},
-	{"serve", "Query service load: sustained req/s vs concurrent join clients", func(cfg config) error {
-		rows, err := exp.RunServeLoad(exp.ServeLoadOptions{
-			Addr:     cfg.serveAddr,
-			Clients:  cfg.clients,
-			Duration: cfg.serveDur,
-			N:        scaled(100_000, cfg),
-			Seed:     cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		exp.TableServe(rows).Fprint(os.Stdout)
-		if cfg.serveJSON != "" {
-			f, err := os.Create(cfg.serveJSON)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := exp.WriteServeJSON(f, rows, cfg.scale); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", cfg.serveJSON)
-		}
-		return nil
-	}},
 	{"table3", "Table III: CIJ on real-like dataset pairs", func(cfg config) error {
 		rows, err := exp.RunTable3(cfg.scale)
 		if err != nil {
@@ -197,63 +132,17 @@ var experiments = []experiment{
 	}},
 }
 
-// parseWorkers parses the -workers list ("1,2,4,8") into worker counts.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("want positive integers, got %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty worker list")
-	}
-	return out, nil
-}
-
 func main() {
 	var (
 		expName    = flag.String("exp", "", "experiment to run (see -list); 'all' runs everything")
 		scale      = flag.Float64("scale", 1.0, "cardinality scale factor (1 = paper scale)")
 		seed       = flag.Int64("seed", 2008, "random seed")
 		buffer     = flag.Float64("buffer", exp.DefaultBufferPct, "LRU buffer size, % of data size")
-		workers    = flag.String("workers", "1,2,4,8", "worker counts for the scal experiment (comma-separated)")
-		clients    = flag.String("clients", "1,4,16", "client counts for the serve experiment (comma-separated)")
-		serveAddr  = flag.String("serveaddr", "", "serve experiment: target a running cijserver instead of an in-process one")
-		serveDur   = flag.Duration("serveduration", 2*time.Second, "serve experiment: duration per concurrency level")
-		serveJSON  = flag.String("servejson", "", "serve experiment: also write rows as JSON to `file` (BENCH_service.json)")
-		gridJSON   = flag.String("gridjson", "BENCH_grid.json", "grid experiment: write crossover rows as JSON to `file` (empty disables)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		hostInfo   = flag.Bool("hostinfo", false, "print the host-metadata JSON block (cpus, gomaxprocs, cpu model) and exit; scripts/bench_json.sh embeds it so every BENCH_*.json describes its machine identically")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file` (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file` (go tool pprof)")
 	)
 	flag.Parse()
-
-	workerCounts, err := parseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cijbench: -workers: %v\n", err)
-		os.Exit(2)
-	}
-	clientCounts, err := parseWorkers(*clients)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cijbench: -clients: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *hostInfo {
-		if err := json.NewEncoder(os.Stdout).Encode(exp.Host()); err != nil {
-			fmt.Fprintf(os.Stderr, "cijbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *expName == "" {
 		fmt.Println("available experiments:")
@@ -286,12 +175,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := config{
-		scale: *scale, seed: *seed, buffer: *buffer, workers: workerCounts,
-		clients: clientCounts, serveAddr: *serveAddr, serveDur: *serveDur, serveJSON: *serveJSON,
-		gridJSON: *gridJSON,
-	}
-	code := runExperiments(*expName, cfg)
+	code := runExperiments(*expName, config{scale: *scale, seed: *seed, buffer: *buffer})
 
 	if *memprofile != "" {
 		if err := writeHeapProfile(*memprofile); err != nil {

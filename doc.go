@@ -15,10 +15,9 @@
 // (internal/voronoi), the three CIJ evaluation algorithms FM/PM/NM
 // (internal/core), a partition-parallel execution engine running NM-CIJ
 // across a worker pool with exact result equivalence (internal/parallel),
-// the traditional join operators used as baselines (internal/joins),
 // dataset generators (internal/dataset), and the experiment harness
-// regenerating every table and figure of the paper plus a parallel
-// scalability experiment (internal/exp, driven by cmd/cijbench).
+// regenerating every table and figure of the paper (internal/exp, driven
+// by cmd/cijbench).
 //
 // Trees read their nodes through one of three storage modes: paged (the
 // paper's byte format behind the LRU buffer — every access is page I/O),
@@ -32,6 +31,7 @@
 // knob).
 //
 // The benchmarks in bench_test.go exercise one paper artifact each at
-// reduced scale — including the parallel speedup curve — and cmd/cijbench
-// runs them at paper scale.
+// reduced scale — plus the parallel speedup curve — and cmd/cijbench
+// runs the paper's experiments at paper scale. Service performance is
+// measured by the benchmark in bench/ (bash bench/run.sh).
 package cij

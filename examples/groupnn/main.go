@@ -21,7 +21,6 @@ import (
 	"cij/internal/dataset"
 	"cij/internal/exp"
 	"cij/internal/geom"
-	"cij/internal/joins"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 	"cij/internal/voronoi"
@@ -57,13 +56,14 @@ func main() {
 		}
 	}
 
-	// Route 2 (baseline): two All-NN joins of houses against hospitals and
-	// parks, then a grouping pass.
-	nnHosp := joins.AllNN(hTree, env.RP)
-	nnPark := joins.AllNN(hTree, env.RQ)
+	// Route 2 (baseline): the two All-NN joins of houses against
+	// hospitals and parks — one nearest-neighbour query per house on each
+	// tree — then a grouping pass.
 	countNN := map[core.Pair]int{}
-	for i := range houses {
-		countNN[core.Pair{P: nnHosp[i].Q, Q: nnPark[i].Q}]++
+	for _, h := range houses {
+		hosp := env.RP.KNN(h, 1, nil)
+		park := env.RQ.KNN(h, 1, nil)
+		countNN[core.Pair{P: hosp[0].ID, Q: park[0].ID}]++
 	}
 
 	// The two routes must agree (up to houses exactly on region borders).

@@ -18,9 +18,6 @@ import (
 // backends and pins the flat run's result and cost profile to the paged
 // baseline.
 func TestFlatModeZeroPages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full benchmark-scale joins; `make pages-guard` and CI run this without -short")
-	}
 	env := exp.BuildEnv(dataset.Uniform(benchN, 1), dataset.Uniform(benchN, 2),
 		exp.DefaultPageSize, exp.DefaultBufferPct)
 	frp, frq := env.Flat()

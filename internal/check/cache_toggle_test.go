@@ -15,9 +15,6 @@ import (
 // node. The full matrix already runs with caching ON in
 // TestEquivalenceSeeds, so a reduced slice suffices to pin the OFF mode.
 func TestEquivalenceDecodeCacheOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("covered by the full suite and `make prop`")
-	}
 	prev := storage.SetDecodeCacheDefault(false)
 	defer storage.SetDecodeCacheDefault(prev)
 	for seed := int64(1); seed <= 12; seed++ {

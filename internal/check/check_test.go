@@ -13,9 +13,6 @@ import (
 // failing seed names itself in the subtest, so `go test -run
 // 'TestEquivalenceSeeds/seed=17' ./internal/check` reproduces it alone.
 func TestEquivalenceSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed matrix runs in the full suite and `make prop`; -short (the CI test job) skips the duplicate")
-	}
 	for seed := int64(1); seed <= NumSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			if err := CheckEquivalence(seed); err != nil {
@@ -29,9 +26,6 @@ func TestEquivalenceSeeds(t *testing.T) {
 // translation/scale equivariance, grid-resolution independence) over the
 // same seed matrix.
 func TestInvariantSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed matrix runs in the full suite and `make prop`; -short (the CI test job) skips the duplicate")
-	}
 	for seed := int64(1); seed <= NumSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			if err := CheckInvariants(seed); err != nil {

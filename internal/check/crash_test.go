@@ -210,12 +210,8 @@ func TestCrashMatrix(t *testing.T) {
 		storage.CrashKeepUnsynced,
 		storage.CrashTornWrite,
 	}
-	stride := int64(1)
-	if testing.Short() {
-		stride = 7
-	}
 	for _, mode := range modes {
-		for k := int64(1); k <= total; k += stride {
+		for k := int64(1); k <= total; k++ {
 			fs := storage.NewFaultFS()
 			fs.SetPlan(&storage.FaultPlan{CrashAfter: k, Mode: mode})
 			acked := runWorkload(fs)

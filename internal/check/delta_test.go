@@ -207,9 +207,6 @@ func mutationBatch(rng *rand.Rand, ls *liveSet, other []geom.Point, round int) [
 // orientations — while the pre-mutation versions stay byte-identical for
 // readers (snapshot isolation).
 func TestDeltaSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed matrix runs in the full suite and `make prop`; -short (the CI test job) skips the duplicate")
-	}
 	for seed := int64(1); seed <= NumSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()

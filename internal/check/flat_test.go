@@ -62,9 +62,6 @@ func TestFlatPagedEquivalence(t *testing.T) {
 // engine: summed worker-fork stats of a flat run carry zero page I/O and
 // the paged run's pair multiset.
 func TestFlatStatsEquivalenceParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("covered by `make prop`")
-	}
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ps := Generate(seed)

@@ -131,9 +131,9 @@ func RealLike(name string, scale float64) ([]geom.Point, error) {
 }
 
 // Spec is a named generator specification: the declarative form of "which
-// pointset" shared by the query service's registry loaders, cijtool gen
-// and the serve load generator, so every entry point builds datasets
-// through the same door.
+// pointset" shared by the query service's registry loaders, cijserver
+// -preload and cijtool gen, so every entry point builds datasets through
+// the same door.
 type Spec struct {
 	// Kind is "uniform", "clustered", or a Table I code (PP/SC/CE/LO/PA).
 	Kind string

@@ -166,29 +166,33 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// malformedCSV holds inputs ReadCSV must reject, each with the line
+// number its error must name.
+var malformedCSV = []struct {
+	name, in, wantInErr string
+}{
+	{"short row", "1,2\n5\n", "line 2"},
+	{"missing y", "1,\n", "line 1"},
+	{"missing x", ",2\n", "line 1"},
+	{"too many fields", "1,2\n3,4,5\n", "line 2"},
+	{"bad x", "# ok\nx,2\n", "line 2"},
+	{"bad y", "1,2\n\n3,yy\n", "line 3"},
+	{"NaN x", "1,2\nNaN,4\n", "line 2"},
+	{"nan y", "1,nan\n", "line 1"},
+	{"Inf x", "Inf,2\n", "line 1"},
+	{"+Inf y", "1,2\n3,+Inf\n", "line 2"},
+	{"-Inf x", "# c\n-inf,2\n", "line 2"},
+	{"infinity y", "1,Infinity\n", "line 1"},
+	{"overflow to Inf", "1e400,2\n", "line 1"},
+	{"beyond MaxFloat64/4", "1,2\n3,4\n5,1e308\n", "line 3"},
+	{"negative beyond MaxFloat64/4", "-1e308,2\n", "line 1"},
+}
+
 // TestReadCSVMalformedRows pins the parser's error paths: short rows, long
 // rows, unparsable coordinates — each rejected with the offending line
 // number — while blank lines and comments stay skippable.
 func TestReadCSVMalformedRows(t *testing.T) {
-	for _, tc := range []struct {
-		name, in, wantInErr string
-	}{
-		{"short row", "1,2\n5\n", "line 2"},
-		{"missing y", "1,\n", "line 1"},
-		{"missing x", ",2\n", "line 1"},
-		{"too many fields", "1,2\n3,4,5\n", "line 2"},
-		{"bad x", "# ok\nx,2\n", "line 2"},
-		{"bad y", "1,2\n\n3,yy\n", "line 3"},
-		{"NaN x", "1,2\nNaN,4\n", "line 2"},
-		{"nan y", "1,nan\n", "line 1"},
-		{"Inf x", "Inf,2\n", "line 1"},
-		{"+Inf y", "1,2\n3,+Inf\n", "line 2"},
-		{"-Inf x", "# c\n-inf,2\n", "line 2"},
-		{"infinity y", "1,Infinity\n", "line 1"},
-		{"overflow to Inf", "1e400,2\n", "line 1"},
-		{"beyond MaxFloat64/4", "1,2\n3,4\n5,1e308\n", "line 3"},
-		{"negative beyond MaxFloat64/4", "-1e308,2\n", "line 1"},
-	} {
+	for _, tc := range malformedCSV {
 		pts, err := ReadCSV(strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("%s: ReadCSV(%q) = %v, want error", tc.name, tc.in, pts)
@@ -198,6 +202,27 @@ func TestReadCSVMalformedRows(t *testing.T) {
 			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.wantInErr)
 		}
 	}
+}
+
+// FuzzReadCSV: whatever the bytes, ReadCSV either rejects them or returns
+// points that Normalize maps to finite points of the domain.
+func FuzzReadCSV(f *testing.F) {
+	for _, tc := range malformedCSV {
+		f.Add(tc.in)
+	}
+	f.Add("# header\n\n1.5, 2.5\n3,4\n")
+	f.Add("-4.4942328371557893e+307,0\n4.4942328371557893e+307,1e-300\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		pts, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, p := range Normalize(pts) {
+			if math.IsNaN(p.X) || math.IsNaN(p.Y) || !Domain.Contains(p) {
+				t.Fatalf("ReadCSV(%q): normalized point %v is not a finite point of the domain", in, p)
+			}
+		}
+	})
 }
 
 // TestReadCSVLargeFiniteCoordinates: the largest accepted magnitudes

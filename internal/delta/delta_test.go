@@ -294,9 +294,6 @@ func mutateLive(n, batches int, seed int64) []step {
 // shape: memoized, batch-computed cells cost fewer computations than the
 // probes they serve, and none is computed twice.
 func TestPairChurnWorkMutateLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds two 10k-point trees")
-	}
 	for i, s := range mutateLive(10000, 4, 1) {
 		e := newEngine(s.old.view(), s.cur.view(), s.other.view(), domain)
 		res := e.churn(s.changes, s.mutatedLeft)

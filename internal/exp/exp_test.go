@@ -89,6 +89,21 @@ func TestTable2RunsOnAllDatasets(t *testing.T) {
 	}
 }
 
+// TestTable1PaperCardinalities pins Table I at scale 1 to the paper's
+// cardinalities.
+func TestTable1PaperCardinalities(t *testing.T) {
+	want := map[string]string{"PP": "177983", "SC": "172188", "CE": "124336", "LO": "128476", "PA": "58312"}
+	rows := TableT1(1).Rows
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if r[2] != want[r[0]] {
+			t.Errorf("%s: cardinality %s, want %s", r[0], r[2], want[r[0]])
+		}
+	}
+}
+
 func TestFig7ShapeNMSavesMaterialization(t *testing.T) {
 	rows := RunFig7(4000, 4)
 	if len(rows) != 3 {
@@ -243,7 +258,7 @@ func TestTablesRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	TableT1(t2).Fprint(&buf)
+	TableT1(1).Fprint(&buf)
 	TableT2(t2).Fprint(&buf)
 	t3, err := RunTable3(0.005)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cij/internal/dataset"
 )
 
 func formatPct(p float64) string { return strconv.FormatFloat(p, 'g', -1, 64) + "%" }
@@ -114,14 +116,16 @@ func TableFig6(rows []Fig6Row) Table {
 	return t
 }
 
-// TableT1 renders Table I (the dataset inventory).
-func TableT1(rows []Table2Row) Table {
+// TableT1 renders Table I, the dataset inventory, straight from
+// dataset.RealDatasets, with each cardinality multiplied by scale (1 = the
+// paper's).
+func TableT1(scale float64) Table {
 	t := Table{
-		Title:   "Table I — datasets (clustered synthetic stand-ins at paper cardinalities)",
-		Columns: []string{"dataset", "cardinality"},
+		Title:   "Table I — datasets (clustered synthetic stand-ins)",
+		Columns: []string{"dataset", "contents", "cardinality"},
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Name, strconv.Itoa(r.N)})
+	for _, d := range dataset.RealDatasets {
+		t.Rows = append(t.Rows, []string{d.Name, d.Description, strconv.Itoa(int(float64(d.Cardinality) * scale))})
 	}
 	return t
 }
@@ -238,30 +242,6 @@ func TableFig11(title, xlabel string, rows []Fig11Row) Table {
 			strconv.FormatInt(r.Reuse, 10),
 			strconv.FormatInt(r.NoReuse, 10),
 			strconv.FormatInt(r.SizeP, 10),
-		})
-	}
-	return t
-}
-
-// TableScal renders the parallel scalability experiment.
-func TableScal(rows []ScalRow) Table {
-	t := Table{
-		Title: fmt.Sprintf("Scalability — partitioned NM-CIJ wall-clock vs workers (%d CPUs available)",
-			NumCPUForScal()),
-		Columns: []string{"dataset", "workers", "wall", "speedup", "page accesses", "pairs"},
-	}
-	for _, r := range rows {
-		workers := "serial"
-		if r.Workers > 0 {
-			workers = strconv.Itoa(r.Workers)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Dataset,
-			workers,
-			r.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			strconv.FormatInt(r.IO, 10),
-			strconv.FormatInt(r.Pairs, 10),
 		})
 	}
 	return t

@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// HostInfo describes the machine a benchmark document was recorded on.
-// Every BENCH_*.json embeds it: the committed performance trajectory is
+// HostInfo describes the machine a benchmark result was recorded on. The
+// service benchmark (bench/) embeds it in every result record: numbers are
 // meaningless without knowing how much parallelism the host could express
 // — a flat speedup curve recorded on one CPU says nothing about the
-// engine, and earlier documents omitted exactly that fact.
+// engine.
 type HostInfo struct {
 	// CPUs is the number of logical CPUs (runtime.NumCPU).
 	CPUs int `json:"cpus"`

@@ -20,7 +20,7 @@
 //
 // Histograms expose Snapshot (a consistent-enough copy of bucket counts)
 // with Quantile estimation by linear interpolation inside the bucket, the
-// mechanism behind the p50/p95/p99 columns of BENCH_service.json.
+// mechanism behind the p50/p95/p99 figures of GET /stats/history.
 //
 // # Tracing
 //

@@ -197,8 +197,7 @@ func (r *Registry) FindCounter(name string, labelValues ...string) *Counter {
 }
 
 // FindHistogram returns the histogram series for the given label values,
-// or nil when absent. Test/bench accessor (histogram quantiles for
-// BENCH_service.json come through here).
+// or nil when absent. Test/bench accessor.
 func (r *Registry) FindHistogram(name string, labelValues ...string) *Histogram {
 	if s := r.find(name, typeHistogram, labelValues); s != nil {
 		return s.h

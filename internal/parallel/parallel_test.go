@@ -260,8 +260,9 @@ func TestEmptyInputs(t *testing.T) {
 // TestSpeedup demonstrates the >1.5× wall-clock speedup of 4 workers over
 // serial NM-CIJ on the uniform paper-style workload at reduced scale. It
 // needs real cores to mean anything, so it skips on small machines (and
-// in -short runs): the speedup-curve benchmark in bench_test.go and the
-// `scal` experiment of cmd/cijbench report the same quantity anywhere.
+// in -short runs, the repo's only -short gate: it is the only wall-clock
+// assertion): BenchmarkParallel_SpeedupCurve in bench_test.go and
+// examples/parallel report the same quantity anywhere.
 func TestSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short mode")

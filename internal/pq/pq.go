@@ -106,12 +106,11 @@ func (q *Queue) Pop() Item {
 }
 
 // Min is the generic companion of Queue: a typed min-heap of arbitrary
-// values prioritized by a float64 key. It exists for the best-first
-// traversals whose items are not R-tree point entries — the k-closest-pairs
-// join of internal/joins queues entry PAIRS — and gives them the same
-// no-boxing property: values live in a plain typed slice, so Push and Pop
-// allocate nothing once the backing array has reached the traversal's
-// high-water mark (guarded by TestMinZeroAllocWarm).
+// values prioritized by a float64 key, for best-first traversals whose
+// items are not R-tree point entries (entry pairs, say). It gives them
+// the same no-boxing property: values live in a plain typed slice, so
+// Push and Pop allocate nothing once the backing array has reached the
+// traversal's high-water mark (guarded by TestMinZeroAllocWarm).
 //
 // The zero value is an empty heap ready for use; not safe for concurrent
 // use.

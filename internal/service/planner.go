@@ -29,7 +29,8 @@ const autoPointsPerWorker = 25_000
 // uniform tiling degenerates — single tiles hold thousands of points and
 // the per-tile loops go quadratic — so extremely skewed serial joins
 // route to NM-CIJ, whose R-tree adapts to density. The bound is
-// measurement-anchored (cijbench -exp grid, BENCH_grid.json): ordinary
+// measurement-anchored (a grid-vs-NM wall-clock crossover at 0.2 scale on
+// a 1-CPU host, recorded when the grid backend was added): ordinary
 // clustered data (skew 10–20) beats NM on wall clock by 2–17×, while in
 // the point-mass series the advantage collapses (skew ≈ 45: only
 // 1.2–1.7×) and inverts at the largest size (skew ≈ 103: 0.72×, and

@@ -2,9 +2,9 @@
 // reproduction, so the Fig. 7 page counts are pinned to the committed
 // BENCH_nmcij.json. CPU-side work — the decoded-node cache, geometric
 // fast paths, allocation pooling — must never move a single page access;
-// if it does, this test (run by the CI bench-smoke job and the regular
-// suite) fails the build instead of letting the regression ship inside a
-// "faster" benchmark record.
+// if it does, this test (part of every `go test ./...`, race run
+// included) fails the build instead of letting the regression ship inside
+// a "faster" benchmark record.
 package cij_test
 
 import (
@@ -17,7 +17,8 @@ import (
 	"cij/internal/exp"
 )
 
-// benchDoc mirrors the shape of BENCH_nmcij.json (scripts/bench_json.sh).
+// benchDoc mirrors the shape of BENCH_nmcij.json, a fixed fixture: its
+// pages/op values are the baseline and are never regenerated.
 type benchDoc struct {
 	Benchmarks []struct {
 		Name    string `json:"name"`
@@ -29,9 +30,6 @@ type benchDoc struct {
 // benchmark cardinality and asserts byte-identical pages/op against the
 // committed baseline for NM, PM and FM.
 func TestFig7PagesMatchBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Fig. 7 joins; the bench-smoke CI job runs this without -short")
-	}
 	raw, err := os.ReadFile("BENCH_nmcij.json")
 	if err != nil {
 		t.Fatalf("reading committed baseline: %v", err)

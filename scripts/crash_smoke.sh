@@ -6,7 +6,7 @@
 # independent in-memory grid backend (the oracle: it recomputes from the
 # recovered points, not the restored tree pages). Finishes with a SIGTERM
 # cycle proving the clean-shutdown marker round-trips. CI runs this in the
-# check job (`make crash-smoke`); it needs only curl + grep/sed.
+# server-smoke job (`make crash-smoke`); it needs only curl + grep/sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
