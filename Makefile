@@ -11,8 +11,14 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet over the root module and the bench/ module (which the root ./...
+# never reaches), then gofmt over every tracked Go file: any file gofmt
+# would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Race-detector run over the whole tree — the parallel engine must stay
 # race-clean. -short skips only TestSpeedup's wall-clock assertion; every

@@ -24,10 +24,7 @@ func runFsck(args []string) error {
 	if *dataDir == "" {
 		return fmt.Errorf("fsck: -data-dir is required")
 	}
-	rep, err := service.Fsck(storage.OSFS{}, *dataDir)
-	if err != nil {
-		return fmt.Errorf("fsck: %v", err)
-	}
+	rep := service.Fsck(storage.OSFS{}, *dataDir)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -59,7 +59,7 @@ type family struct {
 	typ     string
 	labels  []string
 	buckets []float64      // histogram families only
-	fn      func() float64 // func-backed families (single, unlabeled)
+	fn      func() float64 // func-backed gauges (single, unlabeled)
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -166,13 +166,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // (queue lengths, cache entry counts).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, typeGauge, nil, nil, fn)
-}
-
-// CounterFunc registers a counter whose cumulative value is fn(),
-// evaluated at scrape time — for monotone counts kept by existing
-// structures (result-cache hit totals). fn must be monotone.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, typeCounter, nil, nil, fn)
 }
 
 // Histogram registers (or returns) an unlabeled fixed-bucket histogram.
@@ -418,11 +411,41 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 // unlabeled series, `name{k="v",...}` for labeled ones — the same
 // identity a text-exposition sample line leads with.
 type ScrapeSnapshot struct {
-	// Values holds every counter and gauge sample, func-backed families
+	// Values holds every counter and gauge sample, func-backed gauges
 	// included (their fn is evaluated at snapshot time).
 	Values map[string]float64
 	// Hists holds every histogram series, keyed without the `le` label.
 	Hists map[string]HistSnapshot
+}
+
+// matchesFamily reports whether a flattened series key belongs to the
+// family: the bare name, or name{...} for labeled series.
+func matchesFamily(key, family string) bool {
+	return key == family || (strings.HasPrefix(key, family) && len(key) > len(family) && key[len(family)] == '{')
+}
+
+// Sum returns the counter or gauge family's value summed over its series
+// (for gauges: the value at capture time; for counters: the cumulative
+// count), or 0 when the snapshot holds no such family.
+func (s ScrapeSnapshot) Sum(family string) float64 {
+	var sum float64
+	for k, v := range s.Values {
+		if matchesFamily(k, family) {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// HistSum folds every series of the histogram family into one snapshot.
+func (s ScrapeSnapshot) HistSum(family string) HistSnapshot {
+	var sum HistSnapshot
+	for k, h := range s.Hists {
+		if matchesFamily(k, family) {
+			sum = sum.Add(h)
+		}
+	}
+	return sum
 }
 
 // Snapshot captures every family's current samples. Individual reads are

@@ -235,17 +235,3 @@ func TestExpositionFormat(t *testing.T) {
 		}
 	}
 }
-
-func TestCounterFuncAndHandler(t *testing.T) {
-	reg := NewRegistry()
-	var hits int64 = 9
-	reg.CounterFunc("hits_total", "cache hits", func() float64 { return float64(hits) })
-	var sb strings.Builder
-	reg.WriteTo(&sb)
-	if !strings.Contains(sb.String(), "hits_total 9\n") {
-		t.Fatalf("func counter missing:\n%s", sb.String())
-	}
-	if reg.Handler() == nil {
-		t.Fatal("nil handler")
-	}
-}

@@ -105,76 +105,6 @@ func (q *Queue) Pop() Item {
 	return top
 }
 
-// Min is the generic companion of Queue: a typed min-heap of arbitrary
-// values prioritized by a float64 key, for best-first traversals whose
-// items are not R-tree point entries (entry pairs, say). It gives them
-// the same no-boxing property: values live in a plain typed slice, so
-// Push and Pop allocate nothing once the backing array has reached the
-// traversal's high-water mark (guarded by TestMinZeroAllocWarm).
-//
-// The zero value is an empty heap ready for use; not safe for concurrent
-// use.
-type Min[T any] struct {
-	a []keyed[T]
-}
-
-// keyed is one heap slot: the priority key and the carried value.
-type keyed[T any] struct {
-	key float64
-	v   T
-}
-
-// Len returns the number of queued values.
-func (h *Min[T]) Len() int { return len(h.a) }
-
-// Reset empties the heap, retaining the backing array for reuse.
-func (h *Min[T]) Reset() { h.a = h.a[:0] }
-
-// Push inserts v with the given priority key.
-func (h *Min[T]) Push(key float64, v T) {
-	h.a = append(h.a, keyed[T]{key: key, v: v})
-	i := len(h.a) - 1
-	it := h.a[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p].key <= it.key {
-			break
-		}
-		h.a[i] = h.a[p]
-		i = p
-	}
-	h.a[i] = it
-}
-
-// Pop removes and returns the value with the smallest key (and the key).
-// It panics on an empty heap, mirroring slice indexing semantics.
-func (h *Min[T]) Pop() (float64, T) {
-	top := h.a[0]
-	last := len(h.a) - 1
-	it := h.a[last]
-	h.a = h.a[:last]
-	if last > 0 {
-		i, n := 0, last
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && h.a[r].key < h.a[l].key {
-				m = r
-			}
-			if it.key <= h.a[m].key {
-				break
-			}
-			h.a[i] = h.a[m]
-			i = m
-		}
-		h.a[i] = it
-	}
-	return top.key, top.v
-}
-
 // up sifts the item at index i toward the root, shifting parents down into
 // the hole instead of swapping (one item copy per level, not three).
 func (q *Queue) up(i int) {

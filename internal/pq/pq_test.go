@@ -128,63 +128,3 @@ func TestQueueZeroAllocWarm(t *testing.T) {
 		t.Fatalf("warm push/pop cycle allocates %.1f objects per run, want 0", allocs)
 	}
 }
-
-func TestMinPopsAscending(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var h Min[int]
-	const n = 500
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = rng.Float64() * 1000
-		h.Push(keys[i], i)
-	}
-	sort.Float64s(keys)
-	if h.Len() != n {
-		t.Fatalf("Len = %d, want %d", h.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		key, _ := h.Pop()
-		if key != keys[i] {
-			t.Fatalf("pop %d: key %g, want %g", i, key, keys[i])
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len after draining = %d", h.Len())
-	}
-}
-
-func TestMinCarriesValues(t *testing.T) {
-	var h Min[string]
-	h.Push(3, "c")
-	h.Push(1, "a")
-	h.Push(2, "b")
-	for _, want := range []string{"a", "b", "c"} {
-		if _, v := h.Pop(); v != want {
-			t.Fatalf("popped %q, want %q", v, want)
-		}
-	}
-}
-
-// TestMinZeroAllocWarm is TestQueueZeroAllocWarm's analogue for the
-// generic heap: the k-closest-pairs traversal must not regain
-// container/heap's per-operation boxing.
-func TestMinZeroAllocWarm(t *testing.T) {
-	var h Min[[4]int64]
-	for i := 0; i < 128; i++ {
-		h.Push(float64(i%13), [4]int64{int64(i)})
-	}
-	h.Reset()
-
-	allocs := testing.AllocsPerRun(100, func() {
-		h.Reset()
-		for i := 0; i < 64; i++ {
-			h.Push(float64((i*37)%64), [4]int64{int64(i)})
-		}
-		for h.Len() > 0 {
-			h.Pop()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm push/pop cycle allocates %.1f objects per run, want 0", allocs)
-	}
-}

@@ -33,10 +33,9 @@ type cachedResult struct {
 	Count int64
 	// IO is the physical and logical I/O aggregate of the run, summed over
 	// every buffer the request touched (both per-dataset views, or the
-	// shared scratch environment of the materializing algorithms). Its
-	// PageAccesses/DecodeHits projections feed the response stats, the
-	// /stats counters and the /metrics families, so all three layers
-	// reconcile by construction.
+	// shared scratch environment of the materializing algorithms). It
+	// feeds the response stats and the /metrics families (which /stats
+	// reads), so all three layers reconcile by construction.
 	IO  storage.Stats
 	CPU time.Duration
 	// Trace holds the run's phase spans when the computation was traced
@@ -51,19 +50,13 @@ type cachedResult struct {
 // participates in), so the cache only needs classic LRU mechanics plus an
 // eager sweep to release the memory of unreachable entries.
 type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // front = most recently used
-	byKey   map[string]*list.Element
-	hits    int64
-	misses  int64
-	evicted int64
-	// Exported mirrors of hits/misses: real monotone metric counters
-	// (cij_cache_hits_total / cij_cache_misses_total) ticked at the
-	// lookup, so windowed hit-ratios are computable from scrape deltas.
-	// Nil until setCounters (they live on the service's registry).
-	hitsC   *obs.Counter
-	missesC *obs.Counter
+	mu    sync.Mutex
+	cap   int
+	lru   *list.List // front = most recently used
+	byKey map[string]*list.Element
+	// The cache keeps no tallies of its own: lookups and evictions tick
+	// the service's metric counters, which /metrics and /stats both read.
+	hits, misses, evictions *obs.Counter
 }
 
 // cacheSlot carries the operand names as structured fields next to the
@@ -80,11 +73,15 @@ type cacheSlot struct {
 
 // newResultCache creates a cache holding at most capEntries results;
 // capEntries <= 0 disables caching (every lookup misses, nothing stored).
-func newResultCache(capEntries int) *resultCache {
+// hits, misses and evictions are the counters its traffic ticks.
+func newResultCache(capEntries int, hits, misses, evictions *obs.Counter) *resultCache {
 	return &resultCache{
-		cap:   capEntries,
-		lru:   list.New(),
-		byKey: make(map[string]*list.Element),
+		cap:       capEntries,
+		lru:       list.New(),
+		byKey:     make(map[string]*list.Element),
+		hits:      hits,
+		misses:    misses,
+		evictions: evictions,
 	}
 }
 
@@ -96,25 +93,11 @@ func (c *resultCache) get(key string) (*cachedResult, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
-		if c.hitsC != nil {
-			c.hitsC.Inc()
-		}
+		c.hits.Inc()
 		return el.Value.(*cacheSlot).res, true
 	}
-	c.misses++
-	if c.missesC != nil {
-		c.missesC.Inc()
-	}
+	c.misses.Inc()
 	return nil, false
-}
-
-// setCounters installs the metric mirrors of the hit/miss counts; called
-// once at service construction, before any lookup.
-func (c *resultCache) setCounters(hits, misses *obs.Counter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hitsC, c.missesC = hits, misses
 }
 
 // put stores res under key, evicting from the LRU tail on overflow.
@@ -136,7 +119,7 @@ func (c *resultCache) put(key, left, right string, res *cachedResult) {
 		back := c.lru.Back()
 		c.lru.Remove(back)
 		delete(c.byKey, back.Value.(*cacheSlot).key)
-		c.evicted++
+		c.evictions.Inc()
 	}
 }
 
@@ -162,10 +145,9 @@ func (c *resultCache) invalidateDataset(name string) {
 	}
 }
 
-// counters returns a snapshot of the hit/miss/eviction counters and the
-// current entry count.
-func (c *resultCache) counters() (hits, misses, evicted int64, entries int) {
+// len returns the current entry count.
+func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evicted, c.lru.Len()
+	return c.lru.Len()
 }

@@ -45,9 +45,13 @@
 //     fix it), otherwise the in-memory grid backend (internal/grid, zero
 //     I/O) when both datasets' ingest-time skew statistics say the
 //     uniform tiling will hold up, and serial NM-CIJ for skewed serial
-//     joins. The materializing algorithms (PM/FM) write Voronoi R-trees,
-//     so they run in a per-request scratch environment (their own disk)
-//     instead of the registry's read-only disks. A bounded admission
+//     joins. The planner narrates as it decides: each branch writes the
+//     reason for its own choice into the Explanation it returns, and a
+//     served join carries that one Explanation into ?explain=1 and the
+//     journal, so the narration cannot drift from the plan. The
+//     materializing algorithms (PM/FM) write Voronoi R-trees, so they run
+//     in a per-request scratch environment (their own disk) instead of
+//     the registry's read-only disks. A bounded admission
 //     semaphore caps the number of joins executing at once: excess
 //     requests queue (FIFO on a channel) instead of thrashing the
 //     machine, and /stats reports the in-flight count.
@@ -81,7 +85,8 @@
 //	                        per-mutation "+pair"/"-pair" events and one
 //	                        "delta" summary; a lagging client gets a
 //	                        terminal "lagged" line and must resubscribe
-//	GET  /stats             counters: datasets, joins, cache, page accesses
+//	GET  /stats             datasets plus counts read from the /metrics
+//	                        registry: joins, cache, page accesses, mutations
 //	GET  /stats/history     windowed rates/quantiles from the self-scraped
 //	                        metrics ring (?window=30s)
 //	GET  /metrics           Prometheus text exposition of every family
@@ -105,7 +110,9 @@
 // views), admission-queue wait/depth, and func-backed cache/registry
 // gauges. The I/O families are fed from the same storage.Stats aggregate
 // the response reports, so /metrics deltas reconcile with per-query stats
-// exactly. POST /join?explain=1 returns the planner's decision (plan,
+// exactly. The registry is the only owner of the service's counts: GET
+// /stats sums its families instead of keeping counters of its own.
+// POST /join?explain=1 returns the planner's decision (plan,
 // reason, inputs) without executing; JoinRequest.Trace / &trace=1 attach
 // the per-phase obs.Trace spans to the response (or as a "trace" NDJSON
 // line); Config.SlowQuery arms a slow-query log that dumps the full phase
@@ -171,7 +178,8 @@
 // last-installed state, reports itself via RecoveryInfo and the
 // cij_recovery_* /metrics families, and Close writes the final
 // checkpoint plus the clean-shutdown marker. Fsck (fsck.go) is the same
-// pipeline read-only, surfaced as `cijtool fsck`; the crash matrix in
-// internal/check proves every fault point recovers to an
-// exactly-installed version.
+// pipeline read-only, surfaced as `cijtool fsck`: readManifest, the
+// snapshot restore into a scratch registry, and replayWAL, so its verdict
+// is whether boot would succeed. The crash matrix in internal/check
+// proves every fault point recovers to an exactly-installed version.
 package service

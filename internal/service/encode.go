@@ -377,42 +377,55 @@ func datasetInfo(d *Dataset) DatasetInfo {
 	}
 }
 
-// StatsResponse is the body of GET /stats.
+// StatsResponse is the body of GET /stats. Every count is a read of the
+// /metrics registry: each field names the family it sums over all of
+// that family's series, so /stats and /metrics agree by construction.
 type StatsResponse struct {
-	UptimeMS      float64       `json:"uptime_ms"`
-	Build         BuildInfoJSON `json:"build"`
-	Datasets      []DatasetInfo `json:"datasets"`
-	Ingests       int64         `json:"ingests"`
-	JoinsServed   int64         `json:"joins_served"`
-	JoinsComputed int64         `json:"joins_computed"`
-	// JoinsFlat counts computed joins that read flat (arena) storage —
-	// decode-free runs whose page I/O is structurally zero.
-	JoinsFlat    int64 `json:"joins_flat"`
+	UptimeMS float64       `json:"uptime_ms"`
+	Build    BuildInfoJSON `json:"build"`
+	Datasets []DatasetInfo `json:"datasets"`
+	// Ingests is cij_ingests_total.
+	Ingests int64 `json:"ingests"`
+	// JoinsServed is cij_joins_total: every successful join, cache hits
+	// included.
+	JoinsServed int64 `json:"joins_served"`
+	// JoinsComputed is the observation count of cij_join_seconds: the
+	// joins that executed an algorithm.
+	JoinsComputed int64 `json:"joins_computed"`
+	// PageAccesses is cij_pages_read_total plus cij_pages_written_total:
+	// the physical I/O of computed joins and delta runs.
 	PageAccesses int64 `json:"page_accesses"`
-	// DecodeHits sums the decoded-node cache hits of computed joins: node
-	// accesses that skipped page re-parsing (CPU saved, I/O untouched).
-	DecodeHits   int64 `json:"decode_hits"`
+	// DecodeHits is cij_decode_hits_total: node accesses of computed joins
+	// and delta runs that skipped page re-parsing (CPU saved, I/O
+	// untouched).
+	DecodeHits int64 `json:"decode_hits"`
+	// CacheHits, CacheMisses and CacheEvicted are cij_cache_hits_total,
+	// cij_cache_misses_total and cij_result_cache_evictions_total;
+	// CacheEntries is the cij_result_cache_entries gauge.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
 	CacheEvicted int64 `json:"cache_evicted"`
-	// Mutations counts accepted point-mutation batches; DeltaRuns the
-	// incremental maintenance computations they triggered (one per live
-	// subscription pair); PairsChurned the +pair/-pair events those runs
-	// emitted. The three reconcile with cij_mutations_total,
-	// cij_delta_runs_total and cij_pair_churn_total on /metrics.
+	// Mutations is cij_mutation_batches_total: accepted point-mutation
+	// batches. DeltaRuns is cij_delta_runs_total: the incremental
+	// maintenance runs they triggered (one per live subscription pair).
+	// PairsChurned is cij_pair_churn_total: the +pair/-pair events those
+	// runs emitted.
 	Mutations    int64 `json:"mutations"`
 	DeltaRuns    int64 `json:"delta_runs"`
 	PairsChurned int64 `json:"pairs_churned"`
-	// Subscribers is the current number of open /join/subscribe streams.
+	// Subscribers is the cij_subscribers gauge (open /join/subscribe
+	// streams); InFlight the cij_joins_in_flight gauge.
 	Subscribers   int `json:"subscribers"`
 	InFlight      int `json:"in_flight"`
 	MaxConcurrent int `json:"max_concurrent"`
 }
 
-// StatsSnapshot assembles the current counters.
+// StatsSnapshot assembles /stats from one snapshot of the metric
+// registry.
 func (s *Service) StatsSnapshot() StatsResponse {
-	hits, misses, evicted, entries := s.cache.counters()
+	m := s.metrics.reg.Snapshot()
+	count := func(family string) int64 { return int64(m.Sum(family)) }
 	datasets := s.reg.List()
 	infos := make([]DatasetInfo, len(datasets))
 	for i, d := range datasets {
@@ -422,21 +435,20 @@ func (s *Service) StatsSnapshot() StatsResponse {
 		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
 		Build:         buildInfo(),
 		Datasets:      infos,
-		Ingests:       s.ingests.Load(),
-		JoinsServed:   s.joinsServed.Load(),
-		JoinsComputed: s.joinsComputed.Load(),
-		JoinsFlat:     s.joinsFlat.Load(),
-		PageAccesses:  s.pageAccesses.Load(),
-		DecodeHits:    s.decodeHits.Load(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		CacheEntries:  entries,
-		CacheEvicted:  evicted,
-		Mutations:     s.mutations.Load(),
-		DeltaRuns:     s.deltaRuns.Load(),
-		PairsChurned:  s.pairsChurned.Load(),
-		Subscribers:   s.hub.count(),
-		InFlight:      s.InFlight(),
+		Ingests:       count("cij_ingests_total"),
+		JoinsServed:   count("cij_joins_total"),
+		JoinsComputed: m.HistSum("cij_join_seconds").Count,
+		PageAccesses:  count("cij_pages_read_total") + count("cij_pages_written_total"),
+		DecodeHits:    count("cij_decode_hits_total"),
+		CacheHits:     count("cij_cache_hits_total"),
+		CacheMisses:   count("cij_cache_misses_total"),
+		CacheEntries:  int(count("cij_result_cache_entries")),
+		CacheEvicted:  count("cij_result_cache_evictions_total"),
+		Mutations:     count("cij_mutation_batches_total"),
+		DeltaRuns:     count("cij_delta_runs_total"),
+		PairsChurned:  count("cij_pair_churn_total"),
+		Subscribers:   int(count("cij_subscribers")),
+		InFlight:      int(count("cij_joins_in_flight")),
 		MaxConcurrent: s.cfg.MaxConcurrent,
 	}
 }

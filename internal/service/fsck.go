@@ -1,8 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"strings"
 
@@ -20,8 +20,10 @@ type FsckDataset struct {
 }
 
 // FsckReport is the offline consistency check of a data directory:
-// everything it found, with Problems collecting whatever is wrong (empty
-// means the directory would recover cleanly).
+// everything it found, with Problems collecting whatever would make boot
+// fail (empty means boot would restore the directory). WAL records that
+// recovery drops as corrupt are counted, as boot counts them, not listed
+// as problems.
 type FsckReport struct {
 	Fresh         bool          `json:"fresh"`
 	CleanShutdown bool          `json:"clean_shutdown"`
@@ -43,33 +45,26 @@ func (r *FsckReport) problemf(format string, args ...any) {
 }
 
 // Fsck verifies a data directory offline, without opening it for
-// writing: the manifest decodes, every referenced snapshot passes its
-// page checksums and rebuilds a structurally valid tree, and the WAL
-// scans into records that replay contiguously onto the snapshot
-// versions. cijtool's `fsck` subcommand prints the report.
-func Fsck(fsys storage.FS, dir string) (*FsckReport, error) {
+// writing, by running recovery's own pipeline against a scratch
+// registry: readManifest, the snapshot restore (after a page-checksum
+// pass) and replayWAL. Its verdict is therefore whether boot would
+// succeed, and its WAL counts are the ones boot would log. cijtool's
+// `fsck` subcommand prints the report.
+func Fsck(fsys storage.FS, dir string) *FsckReport {
 	r := &FsckReport{}
-	data, err := storage.ReadFileAll(fsys, filepath.Join(dir, manifestName))
-	if storage.IsNotExist(err) {
+	man, fresh, err := readManifest(fsys, dir)
+	if err != nil {
+		r.problemf("%v", err)
+		return r
+	}
+	if fresh {
 		r.Fresh = true
 		r.CleanShutdown = true
-		return r, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: reading manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		r.problemf("manifest does not decode: %v", err)
-		return r, nil
-	}
-	if man.Format != manifestFormat {
-		r.problemf("manifest format %d, this build reads %d", man.Format, manifestFormat)
-		return r, nil
+		return r
 	}
 	r.CleanShutdown = man.CleanShutdown
 
-	versions := make(map[string]int, len(man.Datasets))
+	reg := NewRegistry(0)
 	referenced := make(map[string]bool, len(man.Datasets))
 	for _, md := range man.Datasets {
 		referenced[md.File] = true
@@ -82,45 +77,33 @@ func Fsck(fsys storage.FS, dir string) (*FsckReport, error) {
 			continue
 		}
 		fd.Pages, fd.PageSize = pages, pageSize
-		// The deep check: the snapshot must rebuild into a serving
-		// dataset, exactly as recovery would.
-		d, err := restoreDataset(fsys, path, md, 0)
+		d, err := restoreDataset(fsys, path, md, reg.bufferPct)
+		if err == nil {
+			err = reg.InstallRestored(d)
+		}
 		if err != nil {
 			r.problemf("%s: %v", md.Name, err)
 			r.Datasets = append(r.Datasets, fd)
 			continue
 		}
 		fd.Points = d.Live
-		versions[md.Name] = md.Version
 		r.Datasets = append(r.Datasets, fd)
 	}
 
 	scan, err := storage.ScanWAL(fsys, filepath.Join(dir, walName))
 	if err != nil {
 		r.problemf("WAL: %v", err)
-		return r, nil
+		return r
+	}
+	info := &RecoveryInfo{CorruptRecords: scan.CorruptRecords}
+	if err := replayWAL(reg, scan.Records, info, slog.New(slog.DiscardHandler)); err != nil {
+		r.problemf("%v", err)
 	}
 	r.WALRecords = len(scan.Records)
-	r.WALCorrupt = scan.CorruptRecords
+	r.WALReplayable = info.Replayed
+	r.WALStale = info.Stale
+	r.WALCorrupt = info.CorruptRecords
 	r.WALTornTail = scan.TornTail
-	for i, raw := range scan.Records {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			r.problemf("WAL record %d does not decode: %v", i, err)
-			break
-		}
-		v, known := versions[rec.Name]
-		switch {
-		case !known, rec.Result <= v:
-			r.WALStale++
-		case rec.Base == v:
-			versions[rec.Name] = rec.Result
-			r.WALReplayable++
-		default:
-			r.problemf("WAL record %d: %q jumps from version %d to %d (snapshot holds %d)",
-				i, rec.Name, rec.Base, rec.Result, v)
-		}
-	}
 
 	// Unreferenced page files are expected flotsam of a crash between a
 	// snapshot write and its manifest (or a failed cleanup) — reported,
@@ -133,5 +116,5 @@ func Fsck(fsys storage.FS, dir string) (*FsckReport, error) {
 			}
 		}
 	}
-	return r, nil
+	return r
 }

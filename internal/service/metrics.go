@@ -13,9 +13,10 @@ import (
 
 // serviceMetrics is the service's metric bundle: every family registered
 // once at construction, mutated from the hot paths through atomic
-// counters only. Cache and registry figures are func-backed — scraped
-// from the structures that already maintain them rather than counted
-// twice.
+// counters only. It is the one owner of every service count: /metrics
+// renders it and /stats (StatsSnapshot) sums its families. Current
+// depths (registry size, cache entries, subscribers) are func-backed
+// gauges, scraped from the structures that already hold them.
 type serviceMetrics struct {
 	reg *obs.Registry
 
@@ -38,15 +39,18 @@ type serviceMetrics struct {
 	admissionWait    *obs.Histogram // cij_admission_wait_seconds
 	admissionWaiting *obs.Gauge     // requests currently queued for a slot
 
-	cacheHits   *obs.Counter // cij_cache_hits_total (monotone, cache-fed)
-	cacheMisses *obs.Counter // cij_cache_misses_total
+	cacheHits      *obs.Counter // cij_cache_hits_total, ticked by the cache
+	cacheMisses    *obs.Counter // cij_cache_misses_total
+	cacheEvictions *obs.Counter // cij_result_cache_evictions_total
 
-	panics       *obs.Counter    // cij_panics_total
-	mutations    *obs.CounterVec // cij_mutations_total{op}
-	deltaRuns    *obs.Counter    // cij_delta_runs_total
-	deltaLatency *obs.Histogram  // cij_delta_seconds
-	churnEvents  *obs.CounterVec // cij_pair_churn_total{kind}
-	subLagged    *obs.Counter    // cij_subscribers_lagged_total
+	ingests         *obs.Counter    // cij_ingests_total
+	panics          *obs.Counter    // cij_panics_total
+	mutationBatches *obs.Counter    // cij_mutation_batches_total
+	mutations       *obs.CounterVec // cij_mutations_total{op}
+	deltaRuns       *obs.Counter    // cij_delta_runs_total
+	deltaLatency    *obs.Histogram  // cij_delta_seconds
+	churnEvents     *obs.CounterVec // cij_pair_churn_total{kind}
+	subLagged       *obs.Counter    // cij_subscribers_lagged_total
 
 	walAppends       *obs.Counter   // cij_wal_appends_total
 	walFsync         *obs.Histogram // cij_wal_fsync_seconds
@@ -95,8 +99,18 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Time joins spent queued for an admission slot.", nil),
 		admissionWaiting: reg.Gauge("cij_admission_waiting",
 			"Joins currently queued for an admission slot."),
+		cacheHits: reg.Counter("cij_cache_hits_total",
+			"Result-cache hits."),
+		cacheMisses: reg.Counter("cij_cache_misses_total",
+			"Result-cache misses."),
+		cacheEvictions: reg.Counter("cij_result_cache_evictions_total",
+			"Results evicted from the cache."),
+		ingests: reg.Counter("cij_ingests_total",
+			"Dataset ingests."),
 		panics: reg.Counter("cij_panics_total",
 			"Handler panics recovered by the HTTP middleware (each also answers 500)."),
+		mutationBatches: reg.Counter("cij_mutation_batches_total",
+			"Accepted point-mutation batches."),
 		mutations: reg.CounterVec("cij_mutations_total",
 			"Point-level dataset changes applied, by operation.", "op"),
 		deltaRuns: reg.Counter("cij_delta_runs_total",
@@ -123,33 +137,13 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"WAL records skipped as stale during cold-start recovery (already folded into a snapshot)."),
 	}
 
-	// Hits and misses are real monotone counters (not func-backed views):
-	// the history ring computes hit-ratio over arbitrary windows from
-	// counter deltas, which requires the series to exist as stored,
-	// atomically ticking samples.
-	m.cacheHits = reg.Counter("cij_cache_hits_total",
-		"Result-cache hits.")
-	m.cacheMisses = reg.Counter("cij_cache_misses_total",
-		"Result-cache misses.")
-	s.cache.setCounters(m.cacheHits, m.cacheMisses)
-
 	reg.GaugeVec("cij_build_info",
 		"Build attribution of this binary; constant 1, the payload is the labels.",
 		"go_version", "module_version", "vcs_revision").
 		With(buildInfo().GoVersion, buildInfo().ModuleVersion, buildInfo().Revision).Set(1)
 
-	reg.CounterFunc("cij_result_cache_evictions_total",
-		"Results evicted from the cache.", func() float64 {
-			_, _, evicted, _ := s.cache.counters()
-			return float64(evicted)
-		})
 	reg.GaugeFunc("cij_result_cache_entries",
-		"Results currently cached.", func() float64 {
-			_, _, _, entries := s.cache.counters()
-			return float64(entries)
-		})
-	reg.CounterFunc("cij_ingests_total",
-		"Dataset ingests.", func() float64 { return float64(s.ingests.Load()) })
+		"Results currently cached.", func() float64 { return float64(s.cache.len()) })
 	reg.GaugeFunc("cij_datasets",
 		"Datasets currently registered.", func() float64 { return float64(len(s.reg.List())) })
 	reg.GaugeFunc("cij_joins_in_flight",

@@ -50,7 +50,7 @@ func (s *Service) MutatePoints(name string, req MutationRequest) (*MutationRespo
 	// The old version's cached results are version-keyed and therefore
 	// already unreachable; the sweep just releases their memory eagerly.
 	s.cache.invalidateDataset(name)
-	s.mutations.Add(1)
+	s.metrics.mutationBatches.Inc()
 	if n := len(spec.Insert); n > 0 {
 		s.metrics.mutations.With("insert").Add(int64(n))
 	}

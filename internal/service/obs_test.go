@@ -270,7 +270,7 @@ func TestMetricsMatchJoinStats(t *testing.T) {
 // /metrics deltas reconcile with the response stats just like paged runs.
 func TestMetricsMatchFlatJoin(t *testing.T) {
 	p, q := dataset.Uniform(2000, 141), dataset.Uniform(2000, 142)
-	svc, ts := newTestServer(t, service.Config{}, p, q)
+	_, ts := newTestServer(t, service.Config{}, p, q)
 
 	before := scrapeMetrics(t, ts.URL)
 	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm", TopK: 1}) // auto storage -> flat
@@ -300,36 +300,109 @@ func TestMetricsMatchFlatJoin(t *testing.T) {
 	if got := delta(`cij_planner_storage_total{storage="flat"}`); got != 1 {
 		t.Fatalf(`cij_planner_storage_total{storage="flat"} moved %d, want 1`, got)
 	}
-	if got := svc.StatsSnapshot().JoinsFlat; got != 1 {
-		t.Fatalf("/stats joins_flat = %d, want 1", got)
-	}
 }
 
-// TestMetricsFuncFamilies: the func-backed cache/registry families scrape
-// the live structures.
+// TestMetricsFuncFamilies: /stats is a view of the /metrics registry.
+// One server sees a computed join, a cached join, a result-cache
+// eviction, an HTTP ingest and a mutation under a live subscription; then
+// every /stats count must equal the sum of its named families as scraped
+// from /metrics, and each operation must show in its count.
 func TestMetricsFuncFamilies(t *testing.T) {
 	p, q := dataset.Uniform(300, 151), dataset.Uniform(300, 152)
-	_, ts := newTestServer(t, service.Config{}, p, q)
-	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
-	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
+	// A buffer the size of the data keeps pages resident, so the paged
+	// joins record decode hits as well as page reads.
+	_, ts := newTestServer(t, service.Config{CacheEntries: 1, BufferPct: 100}, p, q)
+
+	pq := service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Storage: "paged"}
+	postJoin(t, ts, pq)
+	if !postJoin(t, ts, pq).Cached {
+		t.Fatal("repeated join not served from cache")
+	}
+	// A second computed join overflows the one-entry cache: an eviction.
+	postJoin(t, ts, service.JoinRequest{Left: "q", Right: "p", Algo: "nm", Storage: "paged"})
+
+	resp, err := http.Post(ts.URL+"/datasets/r?gen=uniform&n=100&seed=153", "text/csv", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest r: status %d", resp.StatusCode)
+	}
+
+	sub, err := http.Get(ts.URL + "/join/subscribe?left=p&right=q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Body.Close()
+	if !bufio.NewScanner(sub.Body).Scan() {
+		t.Fatal("subscription sent no subscribed line")
+	}
+	body, _ := json.Marshal(service.MutationRequest{Insert: []service.PointJSON{{X: 5000, Y: 5000}}})
+	resp, err = http.Post(ts.URL+"/datasets/p/points", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutation: status %d", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.StatsResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := scrapeMetrics(t, ts.URL)
-	if m[`cij_datasets`] != 2 {
-		t.Fatalf("cij_datasets = %g, want 2", m[`cij_datasets`])
+	sum := func(families ...string) int64 {
+		var total float64
+		for key, v := range m {
+			for _, f := range families {
+				if key == f || strings.HasPrefix(key, f+"{") {
+					total += v
+				}
+			}
+		}
+		return int64(total)
 	}
-	if m[`cij_ingests_total`] != 2 {
-		t.Fatalf("cij_ingests_total = %g, want 2", m[`cij_ingests_total`])
+	for _, c := range []struct {
+		field    string
+		got      int64
+		families []string
+		want     int64 // -1: only required to be positive
+	}{
+		{"ingests", st.Ingests, []string{"cij_ingests_total"}, 3},
+		{"joins_served", st.JoinsServed, []string{"cij_joins_total"}, 3},
+		{"joins_computed", st.JoinsComputed, []string{"cij_join_seconds_count"}, 2},
+		{"page_accesses", st.PageAccesses, []string{"cij_pages_read_total", "cij_pages_written_total"}, -1},
+		{"decode_hits", st.DecodeHits, []string{"cij_decode_hits_total"}, -1},
+		{"cache_hits", st.CacheHits, []string{"cij_cache_hits_total"}, 1},
+		{"cache_misses", st.CacheMisses, []string{"cij_cache_misses_total"}, 2},
+		{"cache_entries", int64(st.CacheEntries), []string{"cij_result_cache_entries"}, 0}, // the mutation swept q⋈p
+		{"cache_evicted", st.CacheEvicted, []string{"cij_result_cache_evictions_total"}, 1},
+		{"mutations", st.Mutations, []string{"cij_mutation_batches_total"}, 1},
+		{"delta_runs", st.DeltaRuns, []string{"cij_delta_runs_total"}, 1},
+		{"pairs_churned", st.PairsChurned, []string{"cij_pair_churn_total"}, -1},
+		{"subscribers", int64(st.Subscribers), []string{"cij_subscribers"}, 1},
+		{"in_flight", int64(st.InFlight), []string{"cij_joins_in_flight"}, 0},
+	} {
+		if fam := sum(c.families...); c.got != fam {
+			t.Errorf("/stats %s = %d, but %v sums to %d on /metrics", c.field, c.got, c.families, fam)
+		}
+		if (c.want < 0 && c.got <= 0) || (c.want >= 0 && c.got != c.want) {
+			t.Errorf("/stats %s = %d, want %d (-1: positive)", c.field, c.got, c.want)
+		}
 	}
-	if m[`cij_cache_hits_total`] != 1 {
-		t.Fatalf("cij_cache_hits_total = %g, want 1", m[`cij_cache_hits_total`])
+	if m[`cij_datasets`] != 3 {
+		t.Errorf("cij_datasets = %g, want 3", m[`cij_datasets`])
 	}
-	if m[`cij_cache_misses_total`] != 1 {
-		t.Fatalf("cij_cache_misses_total = %g, want 1", m[`cij_cache_misses_total`])
-	}
-	if m[`cij_result_cache_entries`] != 1 {
-		t.Fatalf("cij_result_cache_entries = %g, want 1", m[`cij_result_cache_entries`])
-	}
-	if m[`cij_planner_decisions_total{algo="nm"}`] != 2 {
-		t.Fatalf("planner decision counter = %g, want 2", m[`cij_planner_decisions_total{algo="nm"}`])
+	if m[`cij_planner_decisions_total{algo="nm"}`] != 3 {
+		t.Errorf("planner decision counter = %g, want 3", m[`cij_planner_decisions_total{algo="nm"}`])
 	}
 }
 

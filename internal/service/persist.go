@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"path/filepath"
 	"time"
 
-	"cij/internal/dataset"
 	"cij/internal/geom"
-	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 )
@@ -148,25 +145,12 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 		metrics:         metrics,
 		logger:          logger,
 	}
-	info := &RecoveryInfo{}
-
-	data, err := storage.ReadFileAll(fsys, st.path(manifestName))
-	switch {
-	case storage.IsNotExist(err):
-		info.Fresh = true
-		info.CleanShutdown = true
-		st.man = manifest{Format: manifestFormat, CleanShutdown: true}
-	case err != nil:
-		return nil, nil, fmt.Errorf("service: reading manifest: %w", err)
-	default:
-		if err := json.Unmarshal(data, &st.man); err != nil {
-			return nil, nil, fmt.Errorf("service: decoding manifest: %w", err)
-		}
-		if st.man.Format != manifestFormat {
-			return nil, nil, fmt.Errorf("service: manifest format %d, this build reads %d", st.man.Format, manifestFormat)
-		}
-		info.CleanShutdown = st.man.CleanShutdown
+	man, fresh, err := readManifest(fsys, dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w", err)
 	}
+	st.man = man
+	info := &RecoveryInfo{Fresh: fresh, CleanShutdown: man.CleanShutdown}
 
 	for _, md := range st.man.Datasets {
 		d, err := restoreDataset(fsys, st.path(md.File), md, reg.bufferPct)
@@ -193,15 +177,59 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 			"corrupt_records", scan.CorruptRecords)
 	}
 
-	for i, raw := range scan.Records {
+	if err := replayWAL(reg, scan.Records, info, logger); err != nil {
+		wal.Close()
+		return nil, nil, fmt.Errorf("service: %w", err)
+	}
+
+	// From here the process is live: mark the manifest dirty so the next
+	// boot knows whether Close ran.
+	st.man.CleanShutdown = false
+	st.man.Format = manifestFormat
+	if err := st.writeManifest(); err != nil {
+		wal.Close()
+		return nil, nil, fmt.Errorf("service: marking manifest dirty: %w", err)
+	}
+	return st, info, nil
+}
+
+// readManifest reads and decodes dir's manifest. fresh reports that none
+// exists — a brand-new data directory — and then man is the empty
+// manifest a new store starts from.
+func readManifest(fsys storage.FS, dir string) (man manifest, fresh bool, err error) {
+	data, err := storage.ReadFileAll(fsys, filepath.Join(dir, manifestName))
+	if storage.IsNotExist(err) {
+		return manifest{Format: manifestFormat, CleanShutdown: true}, true, nil
+	}
+	if err != nil {
+		return manifest{}, false, fmt.Errorf("reading manifest: %w", err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		return manifest{}, false, fmt.Errorf("decoding manifest: %w", err)
+	}
+	if man.Format != manifestFormat {
+		return manifest{}, false, fmt.Errorf("manifest format %d, this build reads %d", man.Format, manifestFormat)
+	}
+	return man, false, nil
+}
+
+// replayWAL applies the WAL tail to the restored snapshots in reg,
+// counting into info: a record applies where its Base is the dataset's
+// version and is skipped as stale where its Result is already reached
+// (or its dataset is unknown). An undecodable record or a version gap
+// stops replay and counts as corrupt, like a mid-log checksum failure.
+// A record that fails to apply is an error: recovery cannot reach the
+// state it acknowledged. Recovery (openStore) and Fsck both replay
+// through here.
+func replayWAL(reg *Registry, records [][]byte, info *RecoveryInfo, logger *slog.Logger) error {
+	for i, raw := range records {
 		var rec walRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			// The frame CRC held but the payload does not decode: framing
 			// from a different build, or corruption the CRC cannot see.
-			// Stop replay here, like a mid-log CRC failure.
 			info.CorruptRecords++
 			logger.Warn("stopping WAL replay at undecodable record", "index", i, "err", err)
-			break
+			return nil
 		}
 		cur, ok := reg.Get(rec.Name)
 		if !ok {
@@ -220,25 +248,17 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 			info.CorruptRecords++
 			logger.Warn("stopping WAL replay at version gap",
 				"index", i, "dataset", rec.Name, "record_base", rec.Base, "have", cur.Version)
-			break
+			return nil
 		}
 		if _, _, _, err := reg.Mutate(rec.Name, rec.Spec); err != nil {
 			// The batch validated before it was logged; failing now means
 			// the recovered base state does not match what the record was
 			// built against — corruption, not a tolerable skip.
-			return nil, nil, fmt.Errorf("service: replaying WAL record %d for %q: %w", i, rec.Name, err)
+			return fmt.Errorf("replaying WAL record %d for %q: %w", i, rec.Name, err)
 		}
 		info.Replayed++
 	}
-
-	// From here the process is live: mark the manifest dirty so the next
-	// boot knows whether Close ran.
-	st.man.CleanShutdown = false
-	st.man.Format = manifestFormat
-	if err := st.writeManifest(); err != nil {
-		return nil, nil, fmt.Errorf("service: marking manifest dirty: %w", err)
-	}
-	return st, info, nil
+	return nil
 }
 
 func (st *Store) writeManifest() error {
@@ -408,11 +428,10 @@ func restoreDataset(fsys storage.FS, path string, md manifestDataset, bufferPct 
 	if err != nil {
 		return nil, err
 	}
-	// Restore-time traversals run through an unbounded buffer, exactly
-	// like an ingest-time build; the serving capacity is applied (and the
-	// stats cleared) once the dataset is assembled.
-	buf := storage.NewBuffer(disk, 1<<30)
-	tree, err := rtree.Open(buf, md.Meta)
+	// Restore-time traversals run through the build buffer, exactly like
+	// an ingest-time build; newDataset applies the serving capacity (and
+	// clears the stats) once the dataset is assembled.
+	tree, err := rtree.Open(storage.NewBuffer(disk, buildBufferPages), md.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -448,26 +467,12 @@ func restoreDataset(fsys storage.FS, path string, md manifestDataset, bufferPct 
 		}
 	}
 
-	pages := tree.NumPages()
-	capPages := int(math.Ceil(float64(pages) * bufferPct / 100))
-	if capPages < 1 {
-		capPages = 1
-	}
-	d := &Dataset{
-		Name:        md.Name,
-		Version:     md.Version,
-		Points:      pts,
-		Alive:       alive,
-		Live:        len(entries),
-		Tree:        tree,
-		FlatTree:    tree.Freeze(),
-		Pages:       pages,
-		BufferPages: capPages,
-	}
-	livePts, _ := d.JoinPoints()
-	d.Skew = grid.SkewEstimate(livePts, dataset.Domain)
-	buf.SetCapacity(capPages)
-	buf.DropAll()
-	buf.ResetStats()
-	return d, nil
+	return newDataset(&Dataset{
+		Name:    md.Name,
+		Version: md.Version,
+		Points:  pts,
+		Alive:   alive,
+		Live:    len(entries),
+		Tree:    tree,
+	}, bufferPct), nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"testing"
@@ -351,7 +352,9 @@ func TestCheckpointTriggersAndTrims(t *testing.T) {
 }
 
 // TestFsck: a healthy directory reports no problems; corruption in a
-// snapshot page is caught and named.
+// snapshot page is caught and named; and a WAL record whose batch cannot
+// apply fails both boot and fsck, because fsck replays the WAL the way
+// boot does.
 func TestFsck(t *testing.T) {
 	fs := storage.NewFaultFS()
 	s := mustOpen(t, fs)
@@ -359,10 +362,7 @@ func TestFsck(t *testing.T) {
 	mustMutate(t, s, "p", MutationRequest{Insert: []PointJSON{{X: 2, Y: 3}}})
 
 	// Live (unclean) directory: WAL has one replayable record.
-	rep, err := Fsck(fs, "data")
-	if err != nil {
-		t.Fatalf("Fsck: %v", err)
-	}
+	rep := Fsck(fs, "data")
 	if !rep.OK() {
 		t.Fatalf("healthy dir reported problems: %v", rep.Problems)
 	}
@@ -373,10 +373,7 @@ func TestFsck(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Fsck(fs, "data")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = Fsck(fs, "data")
 	if !rep.OK() || !rep.CleanShutdown || rep.WALRecords != 0 {
 		t.Fatalf("closed dir fsck = %+v (problems %v)", rep, rep.Problems)
 	}
@@ -399,11 +396,40 @@ func TestFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	rep, err = Fsck(fs, "data")
+	if rep := Fsck(fs, "data"); rep.OK() {
+		t.Fatal("fsck accepted a corrupted snapshot")
+	}
+
+	// A record with a good frame whose Base is the snapshot's version, but
+	// whose batch deletes a point the dataset never had.
+	fs = storage.NewFaultFS()
+	s = mustOpen(t, fs)
+	d := mustIngest(t, s, "p", dataset.Uniform(120, 9))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, _, err := storage.OpenWAL(fs, "data/"+walName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK() {
-		t.Fatal("fsck accepted a corrupted snapshot")
+	bad, err := json.Marshal(walRecord{Name: "p", Base: d.Version, Result: d.Version + 1,
+		Spec: MutationSpec{Delete: []int64{int64(len(d.Points)) + 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(durableConfig(fs)); err == nil {
+		t.Fatal("Open replayed a WAL batch that cannot apply")
+	}
+	if rep := Fsck(fs, "data"); rep.OK() {
+		t.Fatalf("fsck passed a directory boot cannot recover: %+v", rep)
 	}
 }

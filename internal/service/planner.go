@@ -53,74 +53,104 @@ type Plan struct {
 	Storage string `json:"storage,omitempty"`
 }
 
-// plan maps a query onto a concrete algorithm and worker count. Explicit
-// choices are honored; "auto" (or empty) consults the dataset
+// plan maps a query onto a concrete algorithm, worker count and storage,
+// and narrates the decision as it makes it: every branch writes the
+// reason for its own choice, so the explanation the journal and
+// ?explain=1 report is the plan's own record, not a re-derivation.
+// Explicit choices are honored; "auto" (or empty) consults the dataset
 // cardinalities and density statistics: large joins go to the parallel
 // partitioned engine, small-to-medium joins go to the in-memory grid
 // backend when both inputs are near-uniform, and skewed serial joins fall
 // back to NM-CIJ.
-func plan(q Query, left, right *Dataset) (Plan, error) {
+func plan(q Query, left, right *Dataset) (Explanation, error) {
 	stor, explicitStorage, err := normalizeStorage(q.Storage)
 	if err != nil {
-		return Plan{}, err
-	}
-	// resolve attaches the storage decision to a chosen algorithm. The
-	// tree algorithms read either representation; PM/FM materialize
-	// Voronoi R-trees page by page, so they are pinned to paged; the grid
-	// backend indexes nothing and carries no storage at all.
-	resolve := func(algo string, workers int) (Plan, error) {
-		pl := Plan{Algo: algo, Workers: workers}
-		switch algo {
-		case "grid":
-			if explicitStorage {
-				return Plan{}, fmt.Errorf("storage %q does not apply to the grid backend (it joins raw pointsets, no tree)", stor)
-			}
-		case "pm", "fm":
-			if stor == "flat" {
-				return Plan{}, fmt.Errorf("algo %q materializes Voronoi R-trees page by page and cannot run on flat storage", algo)
-			}
-			pl.Storage = "paged"
-		default: // nm, parallel
-			pl.Storage = stor
-			if pl.Storage == "auto" {
-				// Every registered dataset lives in memory and carries a
-				// frozen flat tree, so auto picks the decode-free
-				// representation; "paged" remains the knob for measuring
-				// the paper's I/O behavior.
-				pl.Storage = "flat"
-			}
-		}
-		return pl, nil
+		return Explanation{}, err
 	}
 	total := left.Live + right.Live
+	var pl Plan
+	var reason string
 	switch q.Algo {
 	case "", "auto":
-		// An explicit worker count — including 1, a client bounding its
-		// CPU share — fixes the pool; only workers <= 0 leaves the choice
-		// to the planner.
-		if q.Workers > 0 {
-			return resolve("parallel", clampWorkers(q.Workers))
+		switch w := autoWorkers(total); {
+		case q.Workers > 0:
+			// An explicit worker count — including 1, a client bounding
+			// its CPU share — fixes the pool; only workers <= 0 leaves
+			// the choice to the planner.
+			pl = Plan{Algo: "parallel", Workers: clampWorkers(q.Workers)}
+			reason = fmt.Sprintf("explicit worker count %d selects the parallel engine (clamped to %d)",
+				q.Workers, pl.Workers)
+		case w > 1:
+			pl = Plan{Algo: "parallel", Workers: w}
+			reason = fmt.Sprintf("joint cardinality %d covers %d workers at %d points/worker, so the join parallelizes",
+				total, w, autoPointsPerWorker)
+		case explicitStorage:
+			// An explicit storage choice is a statement about tree nodes,
+			// so algo-auto then restricts itself to the tree algorithms.
+			pl = Plan{Algo: "nm"}
+			reason = fmt.Sprintf("explicit storage %q restricts algo-auto to the tree algorithms; serial range selects NM-CIJ", stor)
+		case left.Skew <= autoGridSkewMax && right.Skew <= autoGridSkewMax:
+			pl = Plan{Algo: "grid"}
+			reason = fmt.Sprintf("serial-range join with near-uniform inputs (skew %.1f and %.1f, both <= %d) routes to the in-memory grid",
+				left.Skew, right.Skew, autoGridSkewMax)
+		default:
+			pl = Plan{Algo: "nm"}
+			reason = fmt.Sprintf("serial-range join too skewed for the grid (skew %.1f and %.1f vs gate %d) falls back to NM-CIJ",
+				left.Skew, right.Skew, autoGridSkewMax)
 		}
-		if w := autoWorkers(total); w > 1 {
-			return resolve("parallel", w)
+	case "nm", "pm", "fm", "grid", "parallel":
+		pl = Plan{Algo: q.Algo}
+		reason = fmt.Sprintf("algorithm %q requested explicitly", q.Algo)
+		if q.Algo == "parallel" {
+			if q.Workers > 0 {
+				pl.Workers = clampWorkers(q.Workers)
+			} else {
+				pl.Workers = autoWorkers(total)
+				reason += fmt.Sprintf("; pool auto-sized to %d workers from %d joint points at %d points/worker",
+					pl.Workers, total, autoPointsPerWorker)
+			}
 		}
-		// An explicit storage choice is a statement about tree nodes, so
-		// algo-auto then restricts itself to the tree algorithms.
-		if !explicitStorage && left.Skew <= autoGridSkewMax && right.Skew <= autoGridSkewMax {
-			return resolve("grid", 0)
-		}
-		return resolve("nm", 0)
-	case "nm", "pm", "fm", "grid":
-		return resolve(q.Algo, 0)
-	case "parallel":
-		w := q.Workers
-		if w <= 0 {
-			w = autoWorkers(total)
-		}
-		return resolve("parallel", clampWorkers(w))
 	default:
-		return Plan{}, fmt.Errorf("unknown algo %q (want nm, pm, fm, parallel, grid or auto)", q.Algo)
+		return Explanation{}, fmt.Errorf("unknown algo %q (want nm, pm, fm, parallel, grid or auto)", q.Algo)
 	}
+
+	// The storage decision. The grid backend indexes nothing and carries
+	// no storage; PM/FM materialize Voronoi R-trees page by page, so they
+	// are pinned to paged; NM and parallel read either representation.
+	switch {
+	case pl.Algo == "grid":
+		if explicitStorage {
+			return Explanation{}, fmt.Errorf("storage %q does not apply to the grid backend (it joins raw pointsets, no tree)", stor)
+		}
+	case stor == "flat":
+		if pl.Algo == "pm" || pl.Algo == "fm" {
+			return Explanation{}, fmt.Errorf("algo %q materializes Voronoi R-trees page by page and cannot run on flat storage", pl.Algo)
+		}
+		pl.Storage = "flat"
+		reason += "; flat storage requested explicitly (arena nodes, zero page I/O)"
+	case stor == "paged":
+		pl.Storage = "paged"
+		reason += "; paged storage requested explicitly (the paper's LRU-buffered disk format)"
+	case pl.Algo == "pm" || pl.Algo == "fm":
+		pl.Storage = "paged"
+		reason += "; paged storage (this algorithm materializes R-trees page by page)"
+	default:
+		// Every registered dataset lives in memory and carries a frozen
+		// flat tree, so auto picks the decode-free representation;
+		// "paged" remains the knob for measuring the paper's I/O behavior.
+		pl.Storage = "flat"
+		reason += "; storage auto-selects flat (datasets are in-memory, so joins read arena nodes decode-free)"
+	}
+	return Explanation{Plan: pl, Reason: reason, Inputs: PlanInputs{
+		LeftPoints:      left.Live,
+		RightPoints:     right.Live,
+		TotalPoints:     total,
+		LeftSkew:        left.Skew,
+		RightSkew:       right.Skew,
+		GridSkewMax:     autoGridSkewMax,
+		PointsPerWorker: autoPointsPerWorker,
+		MaxWorkers:      runtime.GOMAXPROCS(0),
+	}}, nil
 }
 
 // normalizeStorage canonicalizes the storage knob: auto (empty included)
@@ -305,8 +335,9 @@ type PlanInputs struct {
 	MaxWorkers      int     `json:"max_workers"`
 }
 
-// Explanation is the planner's answer to an explain-only request: the plan
-// it would execute, why, and the inputs the decision was made from.
+// Explanation is the planner's decision: the plan it executes, why, and
+// the inputs the decision was made from. ?explain=1 returns it without
+// executing; a served join keeps it in its Outcome and journals it.
 type Explanation struct {
 	Plan   Plan       `json:"plan"`
 	Reason string     `json:"reason"`
@@ -320,15 +351,11 @@ type Explanation struct {
 // Explain resolves and plans q without executing anything — the backing of
 // POST /join?explain=1.
 func (s *Service) Explain(q Query) (Explanation, error) {
-	left, ok := s.reg.Get(q.Left)
-	if !ok {
-		return Explanation{}, fmt.Errorf("unknown dataset %q", q.Left)
+	left, right, err := s.operands(q)
+	if err != nil {
+		return Explanation{}, err
 	}
-	right, ok := s.reg.Get(q.Right)
-	if !ok {
-		return Explanation{}, fmt.Errorf("unknown dataset %q", q.Right)
-	}
-	ex, err := explain(s.applyDefaultStorage(q), left, right)
+	ex, err := plan(q, left, right)
 	if err != nil {
 		return ex, err
 	}
@@ -339,72 +366,13 @@ func (s *Service) Explain(q Query) (Explanation, error) {
 	return ex, nil
 }
 
-// explain runs the planner and narrates which branch fired. The reasons
-// mirror plan's decision flow exactly; any drift between the two is a bug
-// in this function, which is why the explain test pins them together.
-func explain(q Query, left, right *Dataset) (Explanation, error) {
-	pl, err := plan(q, left, right)
-	if err != nil {
-		return Explanation{}, err
-	}
-	total := left.Live + right.Live
-	inputs := PlanInputs{
-		LeftPoints:      left.Live,
-		RightPoints:     right.Live,
-		TotalPoints:     total,
-		LeftSkew:        left.Skew,
-		RightSkew:       right.Skew,
-		GridSkewMax:     autoGridSkewMax,
-		PointsPerWorker: autoPointsPerWorker,
-		MaxWorkers:      runtime.GOMAXPROCS(0),
-	}
-	var reason string
-	switch {
-	case q.Algo != "" && q.Algo != "auto":
-		reason = fmt.Sprintf("algorithm %q requested explicitly", q.Algo)
-		if pl.Algo == "parallel" && q.Workers <= 0 {
-			reason += fmt.Sprintf("; pool auto-sized to %d workers from %d joint points at %d points/worker",
-				pl.Workers, total, autoPointsPerWorker)
-		}
-	case q.Workers > 0:
-		reason = fmt.Sprintf("explicit worker count %d selects the parallel engine (clamped to %d)",
-			q.Workers, pl.Workers)
-	case pl.Algo == "parallel":
-		reason = fmt.Sprintf("joint cardinality %d covers %d workers at %d points/worker, so the join parallelizes",
-			total, pl.Workers, autoPointsPerWorker)
-	case pl.Algo == "grid":
-		reason = fmt.Sprintf("serial-range join with near-uniform inputs (skew %.1f and %.1f, both <= %d) routes to the in-memory grid",
-			left.Skew, right.Skew, autoGridSkewMax)
-	default: // nm
-		if q.Storage == "paged" || q.Storage == "flat" {
-			reason = fmt.Sprintf("explicit storage %q restricts algo-auto to the tree algorithms; serial range selects NM-CIJ", q.Storage)
-		} else {
-			reason = fmt.Sprintf("serial-range join too skewed for the grid (skew %.1f and %.1f vs gate %d) falls back to NM-CIJ",
-				left.Skew, right.Skew, autoGridSkewMax)
-		}
-	}
-	switch pl.Storage {
-	case "flat":
-		if q.Storage == "flat" {
-			reason += "; flat storage requested explicitly (arena nodes, zero page I/O)"
-		} else {
-			reason += "; storage auto-selects flat (datasets are in-memory, so joins read arena nodes decode-free)"
-		}
-	case "paged":
-		if q.Storage == "paged" {
-			reason += "; paged storage requested explicitly (the paper's LRU-buffered disk format)"
-		} else {
-			reason += "; paged storage (this algorithm materializes R-trees page by page)"
-		}
-	}
-	return Explanation{Plan: pl, Reason: reason, Inputs: inputs}, nil
-}
-
 // buildScratchEnv bulk-loads both pointsets onto one fresh disk behind one
 // LRU buffer sized to bufferPct% of the data pages — the single-disk
 // environment the materializing algorithms expect, built per request so
 // their page writes never touch registry state.
 func buildScratchEnv(p, q []geom.Point, bufferPct float64) (rp, rq *rtree.Tree) {
-	trees := loadTrees(bufferPct, p, q)
-	return trees[0], trees[1]
+	trees := loadTrees(p, q)
+	rp, rq = trees[0], trees[1]
+	coldBuffer(rp.Buffer(), rp.NumPages()+rq.NumPages(), bufferPct)
+	return rp, rq
 }

@@ -17,9 +17,10 @@ func fakeDataset(n int, skew float64) *Dataset {
 }
 
 // TestPlanSelection covers every routing path of the auto planner plus
-// the explicit choices, including the new grid branches. The planner only
-// reads GOMAXPROCS, so the test pins it: every branch, auto-parallel
-// included, runs whatever the host's core count.
+// the explicit choices, including the new grid branches, and checks that
+// every branch narrates its choice. The planner only reads GOMAXPROCS, so
+// the test pins it: every branch, auto-parallel included, runs whatever
+// the host's core count.
 func TestPlanSelection(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	uniform := func(n int) *Dataset { return fakeDataset(n, 1.0) }
@@ -41,10 +42,14 @@ func TestPlanSelection(t *testing.T) {
 		{"explicit parallel sizes pool", Query{Algo: "parallel"}, uniform(100), uniform(100), "parallel"},
 	}
 	for _, tc := range cases {
-		pl, err := plan(tc.q, tc.left, tc.right)
+		ex, err := plan(tc.q, tc.left, tc.right)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		if ex.Reason == "" {
+			t.Errorf("%s: plan gave no reason", tc.name)
+		}
+		pl := ex.Plan
 		if pl.Algo != tc.wantAlgo {
 			t.Errorf("%s: planned %q, want %q", tc.name, pl.Algo, tc.wantAlgo)
 		}
@@ -64,12 +69,12 @@ func TestPlanSelection(t *testing.T) {
 	// live points each size a four-worker pool: auto plans parallel.
 	big := uniform(2 * autoPointsPerWorker)
 	for _, d := range []*Dataset{big, fakeDataset(2*autoPointsPerWorker, 2*autoGridSkewMax)} {
-		pl, err := plan(Query{}, d, big)
+		ex, err := plan(Query{}, d, big)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.Algo != "parallel" {
-			t.Errorf("auto large join planned %q, want parallel (skew %.1f)", pl.Algo, d.Skew)
+		if ex.Plan.Algo != "parallel" || ex.Reason == "" {
+			t.Errorf("auto large join planned %q (reason %q), want parallel (skew %.1f)", ex.Plan.Algo, ex.Reason, d.Skew)
 		}
 	}
 }

@@ -166,7 +166,7 @@ func (r *Registry) PrepareIngest(name string, pts []geom.Point) (*Dataset, error
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("service: dataset %q has no points", name)
 	}
-	return buildDataset(name, pts, r.bufferPct), nil
+	return newDataset(&Dataset{Name: name, Points: pts, Live: len(pts), Tree: loadTrees(pts)[0]}, r.bufferPct), nil
 }
 
 // NextVersion returns the version the next install under name will
@@ -360,8 +360,7 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 	// Build version N+1 beside the serving version: COW-clone the disk,
 	// fork a mutable tree over the clone, replay the batch. Deletes and
 	// updates keep their original IDs; inserts extend the ID space.
-	mbuf := storage.NewBuffer(d.Tree.Buffer().Disk().Clone(), 1<<30)
-	mt := d.Tree.CloneMut(mbuf)
+	mt := d.Tree.CloneMut(storage.NewBuffer(d.Tree.Buffer().Disk().Clone(), buildBufferPages))
 	pts := append([]geom.Point(nil), d.Points...)
 	var alive []bool
 	if d.Alive != nil {
@@ -394,28 +393,15 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 		changes = append(changes, delta.Change{Op: delta.OpInsert, ID: id, New: p})
 	}
 
-	// Re-derive the serving-shape parameters for the new page population,
-	// then start its buffer cold, exactly like an ingest-time build.
-	pages := mt.NumPages()
-	capPages := int(math.Ceil(float64(pages) * r.bufferPct / 100))
-	if capPages < 1 {
-		capPages = 1
-	}
-	mbuf.SetCapacity(capPages)
-	mbuf.DropAll()
-	mbuf.ResetStats()
-	cur := &Dataset{
-		Name:        name,
-		Points:      pts,
-		Alive:       alive,
-		Live:        d.Live + len(spec.Insert) - len(spec.Delete),
-		Tree:        mt,
-		FlatTree:    mt.Freeze(),
-		Pages:       pages,
-		BufferPages: capPages,
-	}
-	livePts, _ := cur.JoinPoints()
-	cur.Skew = grid.SkewEstimate(livePts, dataset.Domain)
+	// The new page population gets its serving shape and a cold buffer,
+	// exactly like an ingest-time build.
+	cur := newDataset(&Dataset{
+		Name:   name,
+		Points: pts,
+		Alive:  alive,
+		Live:   d.Live + len(spec.Insert) - len(spec.Delete),
+		Tree:   mt,
+	}, r.bufferPct)
 	return &PreparedMutation{name: name, old: d, cur: cur, spec: spec, changes: changes}, nil
 }
 
@@ -437,38 +423,30 @@ func (r *Registry) Install(p *PreparedMutation) (old, cur *Dataset, changes []de
 	return p.old, p.cur, p.changes, nil
 }
 
-// buildDataset bulk-loads pts into an R-tree on a fresh private disk and
-// records the page-derived buffer capacity queries will fork with.
-func buildDataset(name string, pts []geom.Point, bufferPct float64) *Dataset {
-	tree := loadTrees(bufferPct, pts)[0]
-	return &Dataset{
-		Name:        name,
-		Points:      pts,
-		Live:        len(pts),
-		Tree:        tree,
-		FlatTree:    tree.Freeze(),
-		Pages:       tree.NumPages(),
-		BufferPages: tree.Buffer().Capacity(),
-		Skew:        grid.SkewEstimate(pts, dataset.Domain),
-	}
+// buildBufferPages is the capacity of the buffer a tree is built, cloned
+// or restored through: effectively unbounded, because construction I/O is
+// not what the service meters. coldBuffer then shrinks it to serving size.
+const buildBufferPages = 1 << 30
+
+// newDataset completes a Dataset around its freshly built tree: it
+// cold-starts the tree's buffer at serving size, freezes the flat copy
+// and computes the skew statistic over the live points. Ingest, mutation
+// and restore all finish their datasets here.
+func newDataset(d *Dataset, bufferPct float64) *Dataset {
+	d.Pages = d.Tree.NumPages()
+	d.BufferPages = coldBuffer(d.Tree.Buffer(), d.Pages, bufferPct)
+	d.FlatTree = d.Tree.Freeze()
+	livePts, _ := d.JoinPoints()
+	d.Skew = grid.SkewEstimate(livePts, dataset.Domain)
+	return d
 }
 
-// loadTrees bulk-loads each pointset into an R-tree on one fresh private
-// disk. The build runs through an effectively unbounded buffer
-// (construction I/O is not what the service meters); afterwards the
-// shared buffer is sized to bufferPct% of the total data pages (at least
-// one) and cleared, so measurement starts cold. Both the registry
-// (buildDataset, one set) and the materializing algorithms' scratch
-// environment (buildScratchEnv, two sets) size through this one formula.
-func loadTrees(bufferPct float64, sets ...[]geom.Point) []*rtree.Tree {
-	disk := storage.NewDisk(storage.DefaultPageSize)
-	buf := storage.NewBuffer(disk, 1<<30)
-	trees := make([]*rtree.Tree, len(sets))
-	pages := 0
-	for i, pts := range sets {
-		trees[i] = rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
-		pages += trees[i].NumPages()
-	}
+// coldBuffer sizes buf to bufferPct% of pages (at least one page) and
+// clears its contents and counters, so measurement starts cold; it
+// returns the capacity. The registry's datasets and the materializing
+// algorithms' scratch environment (buildScratchEnv) size through this
+// one formula.
+func coldBuffer(buf *storage.Buffer, pages int, bufferPct float64) int {
 	capPages := int(math.Ceil(float64(pages) * bufferPct / 100))
 	if capPages < 1 {
 		capPages = 1
@@ -476,5 +454,16 @@ func loadTrees(bufferPct float64, sets ...[]geom.Point) []*rtree.Tree {
 	buf.SetCapacity(capPages)
 	buf.DropAll()
 	buf.ResetStats()
+	return capPages
+}
+
+// loadTrees bulk-loads each pointset into an R-tree on one fresh private
+// disk behind one build buffer; callers size it with coldBuffer.
+func loadTrees(sets ...[]geom.Point) []*rtree.Tree {
+	buf := storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), buildBufferPages)
+	trees := make([]*rtree.Tree, len(sets))
+	for i, pts := range sets {
+		trees[i] = rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
+	}
 	return trees
 }

@@ -33,27 +33,15 @@ type Config struct {
 	// traced, and one slower than the threshold logs its full phase trace
 	// at Warn level (and counts in cij_slow_queries_total).
 	SlowQuery time.Duration
-	// DefaultStorage is the storage mode applied when a query leaves the
-	// knob empty: "auto" (empty included; the planner picks flat for the
-	// tree algorithms), "flat", or "paged" (pin every tree join to the
-	// paper's LRU-buffered disk format).
-	DefaultStorage string
 	// JournalEntries caps the query-journal ring; < 0 disables journaling
 	// entirely, 0 selects the default (DefaultJournalEntries). With the
-	// journal on, every computed join is traced so the slowest-K can
-	// retain their phase breakdowns.
+	// journal on, every computed join is traced so the slowest
+	// DefaultJournalSlowest can retain their phase breakdowns.
 	JournalEntries int
-	// JournalSlowest caps the retained slowest-query traces; <= 0 selects
-	// the default (DefaultJournalSlowest).
-	JournalSlowest int
 	// JournalSink, when non-nil, receives one JSON line per observation —
 	// the append-only JSONL persistence of the journal (cijserver's
 	// -journal flag opens a file here).
 	JournalSink io.Writer
-	// HistoryCapacity caps the metrics-history ring; <= 0 selects the
-	// default (history.DefaultCapacity). Sampling starts only when the
-	// caller runs History().Start (cijserver's -history-interval).
-	HistoryCapacity int
 	// DataDir, when set, makes the service durable (use Open, not New):
 	// the dataset registry persists under this directory (manifest +
 	// snapshot page files + WAL) and a cold start restores it, replaying
@@ -103,16 +91,6 @@ type Service struct {
 	// do NOT take it; they read whatever version is installed when they
 	// resolve names, and COW snapshots keep that read stable.
 	mutMu sync.Mutex
-
-	joinsServed   atomic.Int64 // all successful joins, cache hits included
-	joinsComputed atomic.Int64 // joins that actually executed an algorithm
-	joinsFlat     atomic.Int64 // computed joins that read flat (arena) storage
-	pageAccesses  atomic.Int64 // physical I/O summed over computed joins
-	decodeHits    atomic.Int64 // decoded-node cache hits summed over computed joins
-	ingests       atomic.Int64
-	mutations     atomic.Int64 // accepted mutation batches
-	deltaRuns     atomic.Int64 // incremental maintenance runs (one per live subscription pair per mutation)
-	pairsChurned  atomic.Int64 // +pair/-pair events emitted by delta runs
 }
 
 // flight is one in-progress join computation; done closes when the leader
@@ -143,7 +121,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.BufferPct),
-		cache:   newResultCache(cfg.CacheEntries),
 		admit:   make(chan struct{}, cfg.MaxConcurrent),
 		flights: make(map[string]*flight),
 		hub:     newSubHub(),
@@ -151,11 +128,12 @@ func New(cfg Config) *Service {
 		logger:  logger,
 	}
 	if cfg.JournalEntries >= 0 {
-		s.journal = NewJournal(cfg.JournalEntries, cfg.JournalSlowest, cfg.JournalSink)
+		s.journal = NewJournal(cfg.JournalEntries, DefaultJournalSlowest, cfg.JournalSink)
 	}
 	s.metrics = newServiceMetrics(s)
+	s.cache = newResultCache(cfg.CacheEntries, s.metrics.cacheHits, s.metrics.cacheMisses, s.metrics.cacheEvictions)
 	s.runtime = obs.NewRuntimeCollector(s.metrics.reg, s.start)
-	s.history = history.New(s.metrics.reg, cfg.HistoryCapacity, s.runtime.Collect)
+	s.history = history.New(s.metrics.reg, history.DefaultCapacity, s.runtime.Collect)
 	return s
 }
 
@@ -245,34 +223,29 @@ func (s *Service) Registry() *Registry { return s.reg }
 func (s *Service) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Ingest indexes pts under name (replacing any previous version), sweeps
-// the named dataset's cached results and returns the new registry entry.
-// It serializes with mutations under mutMu — which is also what makes
-// the durable protocol sound: the snapshot written before install is
-// guaranteed to describe the version that installs.
+// the named dataset's cached results and returns the new registry entry:
+// prepare, snapshot when durable, install. It serializes with mutations
+// under mutMu — which is also what makes the durable protocol sound: the
+// snapshot written before install is guaranteed to describe the version
+// that installs.
 func (s *Service) Ingest(name string, pts []Point) (*Dataset, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	var d *Dataset
+	d, err := s.reg.PrepareIngest(name, pts)
+	if err != nil {
+		return nil, err
+	}
+	version := s.reg.NextVersion(name)
 	if st := s.store.Load(); st != nil {
-		var err error
-		if d, err = s.reg.PrepareIngest(name, pts); err != nil {
-			return nil, err
-		}
-		version := s.reg.NextVersion(name)
 		if err := st.logIngest(d, version); err != nil {
 			return nil, fmt.Errorf("persisting dataset %q: %w", name, err)
 		}
-		if err := s.reg.InstallIngest(d, version); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if d, err = s.reg.Put(name, pts); err != nil {
-			return nil, err
-		}
+	}
+	if err := s.reg.InstallIngest(d, version); err != nil {
+		return nil, err
 	}
 	s.cache.invalidateDataset(name)
-	s.ingests.Add(1)
+	s.metrics.ingests.Inc()
 	return d, nil
 }
 
@@ -283,8 +256,7 @@ type Query struct {
 	// Algo selects the algorithm: nm, pm, fm, parallel, or auto/empty.
 	Algo string
 	// Storage selects the node representation for tree algorithms: flat,
-	// paged, or auto/empty (the planner picks; the service's
-	// DefaultStorage applies first when the query leaves it empty).
+	// paged, or auto/empty (the planner picks).
 	Storage string
 	// Workers fixes the parallel pool size; <= 0 lets the planner size it
 	// from the dataset cardinalities.
@@ -293,16 +265,6 @@ type Query struct {
 	// full result is still computed (and cached), so stats describe the
 	// complete join.
 	TopK int
-}
-
-// applyDefaultStorage fills an empty storage knob from the service
-// configuration, so operators can pin a deployment to paged or flat mode
-// without touching clients (an explicit per-query choice still wins).
-func (s *Service) applyDefaultStorage(q Query) Query {
-	if q.Storage == "" {
-		q.Storage = s.cfg.DefaultStorage
-	}
-	return q
 }
 
 // storageLabel maps a plan's storage onto a bounded metric label ("none"
@@ -315,16 +277,30 @@ func storageLabel(storage string) string {
 }
 
 // Outcome is the dispatcher's answer to one query: the (possibly cached)
-// full result, the plan that produced it, and the dataset versions it was
-// computed against.
+// full result, the planner's explanation of the plan that produced it,
+// and the dataset versions it was computed against.
 type Outcome struct {
+	Explanation
 	Result      *cachedResult
-	Plan        Plan
 	Cached      bool
 	Left, Right *Dataset
 	// QueryID is this request's journal identity, threaded into the
 	// response, the stream summary and the slog records.
 	QueryID int64
+}
+
+// operands resolves a query's two dataset names to their current
+// versions.
+func (s *Service) operands(q Query) (left, right *Dataset, err error) {
+	left, ok := s.reg.Get(q.Left)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown dataset %q", q.Left)
+	}
+	right, ok = s.reg.Get(q.Right)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown dataset %q", q.Right)
+	}
+	return left, right, nil
 }
 
 // Join resolves, plans and executes one query. On a cache hit — or when
@@ -335,33 +311,28 @@ type Outcome struct {
 // result is cached. ctx cancellation is honored while queued for
 // admission or waiting on another request's flight.
 func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome, error) {
-	left, ok := s.reg.Get(q.Left)
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", q.Left)
-	}
-	right, ok := s.reg.Get(q.Right)
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", q.Right)
-	}
-	q = s.applyDefaultStorage(q)
-	pl, err := plan(q, left, right)
+	left, right, err := s.operands(q)
 	if err != nil {
 		return nil, err
 	}
-
+	ex, err := plan(q, left, right)
+	if err != nil {
+		return nil, err
+	}
+	pl := ex.Plan
 	s.metrics.planner.With(pl.Algo).Inc()
 	s.metrics.plannerStorage.With(storageLabel(pl.Storage)).Inc()
 
 	// Every served join — cache hits included — is one observation, so
 	// every request gets a query ID up front (the slow-query log inside
-	// compute needs it before the outcome exists).
-	qid := s.queryID.Add(1)
+	// compute needs it before the result exists).
+	out := &Outcome{Explanation: ex, Left: left, Right: right, QueryID: s.queryID.Add(1)}
 
 	key := cacheKey(left, right, pl.Algo, pl.Workers, pl.Storage)
 	if res, ok := s.cache.get(key); ok {
-		s.joinsServed.Add(1)
+		out.Result, out.Cached = res, true
 		s.metrics.joins.With(pl.Algo, "cached").Inc()
-		return s.record(q, &Outcome{Result: res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
+		return s.record(out), nil
 	}
 
 	s.flightMu.Lock()
@@ -375,18 +346,17 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 			return nil, ctx.Err()
 		}
 		if f.res != nil {
-			s.joinsServed.Add(1)
+			out.Result, out.Cached = f.res, true
 			s.metrics.joins.With(pl.Algo, "cached").Inc()
-			return s.record(q, &Outcome{Result: f.res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
+			return s.record(out), nil
 		}
 		// The leader bailed before executing (admission cancelled);
 		// compute directly — the admission semaphore still bounds a
 		// stampede of orphaned followers.
-		out, err := s.compute(ctx, qid, key, pl, left, right, hooks)
-		if err != nil {
+		if err := s.compute(ctx, out, key, hooks); err != nil {
 			return nil, err
 		}
-		return s.record(q, out), nil
+		return s.record(out), nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
@@ -398,19 +368,21 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 		close(f.done)
 	}()
 
-	out, err := s.compute(ctx, qid, key, pl, left, right, hooks)
-	if err != nil {
+	if err := s.compute(ctx, out, key, hooks); err != nil {
 		return nil, err
 	}
 	f.res = out.Result
-	return s.record(q, out), nil
+	return s.record(out), nil
 }
 
 // record journals one served join: the planner's inputs and narrated
 // reason next to the measured outcome, with the computed run's phase
 // spans competing for slowest-K retention. The record's Stats is built by
 // the same projection the JoinResponse uses, so the two are byte-equal.
-func (s *Service) record(q Query, out *Outcome) *Outcome {
+// The journal line must stand alone as a training observation, so it
+// carries the full decision context the plan recorded, not a pointer to
+// it.
+func (s *Service) record(out *Outcome) *Outcome {
 	if !s.journal.Enabled() {
 		return out
 	}
@@ -427,14 +399,9 @@ func (s *Service) record(q Query, out *Outcome) *Outcome {
 		Cached:       out.Cached,
 		Pairs:        out.Result.Count,
 		Stats:        out.statsJSON(),
+		Reason:       out.Reason,
+		Inputs:       out.Inputs,
 		Slow:         !out.Cached && s.cfg.SlowQuery > 0 && out.Result.CPU >= s.cfg.SlowQuery,
-	}
-	// The narration re-runs the (deterministic) planner; the journal line
-	// must stand alone as a training observation, so it carries the full
-	// decision context, not a pointer to it.
-	if ex, err := explain(q, out.Left, out.Right); err == nil {
-		rec.Reason = ex.Reason
-		rec.Inputs = ex.Inputs
 	}
 	var spans []obs.Span
 	var dropped int64
@@ -445,9 +412,9 @@ func (s *Service) record(q Query, out *Outcome) *Outcome {
 	return out
 }
 
-// compute runs one planned join under the admission semaphore and records
-// it in the cache, the counters and the metric families.
-func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, left, right *Dataset, hooks execHooks) (*Outcome, error) {
+// compute runs the outcome's planned join under the admission semaphore,
+// sets out.Result and records it in the cache and the metric families.
+func (s *Service) compute(ctx context.Context, out *Outcome, key string, hooks execHooks) error {
 	waitStart := time.Now()
 	s.metrics.admissionWaiting.Add(1)
 	select {
@@ -455,7 +422,7 @@ func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, l
 		s.metrics.admissionWaiting.Add(-1)
 	case <-ctx.Done():
 		s.metrics.admissionWaiting.Add(-1)
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	defer func() { <-s.admit }()
 	wait := time.Since(waitStart)
@@ -470,21 +437,16 @@ func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, l
 		tr.Add("admission", "", wait, obs.Counters{})
 	}
 
+	pl, left, right := out.Plan, out.Left, out.Right
 	res := s.execute(left, right, pl, hooks, tr)
+	out.Result = res
 	s.cache.put(key, left.Name, right.Name, res)
-	s.joinsServed.Add(1)
-	s.joinsComputed.Add(1)
-	if pl.Storage == "flat" {
-		s.joinsFlat.Add(1)
-	}
-	s.pageAccesses.Add(res.IO.PageAccesses())
-	s.decodeHits.Add(res.IO.DecodeHits)
 	s.metrics.joins.With(pl.Algo, "computed").Inc()
 	s.metrics.joinLatency.With(pl.Algo).Observe(res.CPU.Seconds())
 	s.metrics.recordJoinIO(res.IO, pl.Storage)
 
 	logArgs := []any{
-		"query_id", qid,
+		"query_id", out.QueryID,
 		"left", left.Name, "right", right.Name,
 		"algo", pl.Algo, "workers", pl.Workers,
 		"storage", pl.Storage,
@@ -501,7 +463,7 @@ func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, l
 	} else {
 		s.logger.Info("join computed", logArgs...)
 	}
-	return &Outcome{Result: res, Plan: pl, Left: left, Right: right, QueryID: qid}, nil
+	return nil
 }
 
 // InFlight reports how many joins currently hold an admission slot.

@@ -257,10 +257,6 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 	io := oldT.Buffer().Stats().Add(newT.Buffer().Stats()).Add(otherT.Buffer().Stats())
 	churn := len(res.Added) + len(res.Removed)
 
-	s.deltaRuns.Add(1)
-	s.pairsChurned.Add(int64(churn))
-	s.pageAccesses.Add(io.PageAccesses())
-	s.decodeHits.Add(io.DecodeHits)
 	s.metrics.deltaRuns.Inc()
 	s.metrics.deltaLatency.Observe(wall.Seconds())
 	if n := len(res.Added); n > 0 {
