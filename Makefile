@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench bench-smoke bench-module-smoke bench-baseline bench-new benchstat serve smoke-server crash-smoke
+.PHONY: build test race vet fuzz check bench bench-smoke bench-module-smoke bench-baseline bench-new benchstat serve smoke-server crash-smoke
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,19 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-check: build vet race crash-smoke bench-module-smoke
+# Ten seconds of coverage-guided fuzzing per target over the bytes the
+# service takes from outside: CSV ingest bodies, the WAL and snapshot page
+# files. Every `go test` run replays each target's seed corpus; this
+# searches past it. Minimizing a new input may take 1s at most — the
+# default (60s) spends a whole window shrinking the first 3 KB snapshot.
+# A failing input lands in the package's testdata/fuzz as a regression
+# seed to commit.
+fuzz:
+	$(GO) test -run xxx -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset
+	$(GO) test -run xxx -fuzz '^FuzzScanWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/storage
+	$(GO) test -run xxx -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+
+check: build vet race fuzz crash-smoke bench-module-smoke
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx ./...

@@ -1,10 +1,8 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-//   - Hilbert-ordered vs plain depth-first leaf visiting in NM-CIJ
-//     (Section III-C's "tuned" traversal is what buys buffer locality);
-//   - the Voronoi-cell reuse buffer (Section IV-B / Fig. 11);
-//   - Hilbert packing vs STR bulk loading of the input trees;
-//   - BF-VOR's best-first order vs the multi-traversal TP-VOR baseline
-//     (the Fig. 5 comparison, exposed here as a bench pair).
+// Ablation benchmarks for two of Section III-C's design choices, one
+// bench pair each:
+//   - Hilbert-ordered vs plain depth-first leaf visiting in NM-CIJ (the
+//     "tuned" traversal is what buys buffer locality);
+//   - Hilbert packing vs STR bulk loading of the input trees.
 package cij_test
 
 import (

@@ -292,7 +292,7 @@ func BenchmarkTable3_PA_SC(b *testing.B) {
 // speedup curve; on a multicore machine 4 workers clear 1.5x comfortably
 // (TestSpeedup asserts it where >= 4 CPUs are available).
 
-func benchParallel(b *testing.B, workers int, balanced, flat bool) {
+func benchParallel(b *testing.B, workers int, flat bool) {
 	var setup func(*exp.Env)
 	if flat {
 		setup = func(e *exp.Env) { e.Flat() }
@@ -304,7 +304,6 @@ func benchParallel(b *testing.B, workers int, balanced, flat bool) {
 		}
 		opts := parallel.DefaultOptions()
 		opts.Workers = workers
-		opts.Balanced = balanced
 		opts.CollectPairs = false
 		return parallel.Join(rp, rq, exp.Domain, opts)
 	})
@@ -330,13 +329,11 @@ func BenchmarkParallel_SpeedupCurve(b *testing.B) {
 		b.Run("storage="+backend.name, func(b *testing.B) {
 			for _, w := range []int{1, 2, 4, 8} {
 				w := w
-				b.Run("workers="+itoa(w), func(b *testing.B) { benchParallel(b, w, false, backend.flat) })
+				b.Run("workers="+itoa(w), func(b *testing.B) { benchParallel(b, w, backend.flat) })
 			}
 		})
 	}
 }
-
-func BenchmarkParallel_Balanced4Workers(b *testing.B) { benchParallel(b, 4, true, false) }
 
 func itoa(n int) string {
 	if n == 0 {

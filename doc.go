@@ -19,13 +19,13 @@
 // regenerating every table and figure of the paper (internal/exp, driven
 // by cmd/cijbench).
 //
-// Trees read their nodes through one of three storage modes: paged (the
-// paper's byte format behind the LRU buffer — every access is page I/O),
-// decode-cached (the same pages, with decoded nodes riding buffer
-// residency), and flat (an immutable in-memory arena built by
-// rtree.Tree.Freeze or rtree.FlatBulkLoadPoints — no pages, no decode,
-// structurally zero I/O). All three emit the byte-identical pair
-// sequence; they differ only in cost profile, and the query service's
+// Trees read their nodes through one of two storage modes: paged (the
+// paper's byte format behind the LRU buffer — every access is page I/O,
+// and a resident page carries its decoded node so buffer hits skip
+// re-parsing) and flat (an immutable in-memory arena frozen from a paged
+// tree by rtree.Tree.Freeze — no pages, no decode, structurally zero
+// I/O). Both emit the byte-identical pair sequence; they differ only in
+// cost profile, and the query service's
 // planner picks flat automatically for its in-memory datasets (README
 // "Execution backends" documents the selection rules and the storage
 // knob).

@@ -164,8 +164,8 @@ func TestMultiwayErrors(t *testing.T) {
 	if _, err := MultiwayCIJ([]*rtree.Tree{trees[0], empty}, testDomain); err == nil {
 		t.Error("empty input should error")
 	}
-	polyTree := rtree.New(storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), 8), rtree.KindPolygons)
-	polyTree.InsertPolygon(0, geom.NewRect(0, 0, 1, 1).Polygon())
+	polyTree := rtree.PackPolygons(storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), 8),
+		[]rtree.PolygonItem{{ID: 0, Poly: geom.NewRect(0, 0, 1, 1).Polygon()}})
 	if _, err := MultiwayCIJ([]*rtree.Tree{trees[0], polyTree}, testDomain); err == nil {
 		t.Error("polygon tree input should error")
 	}

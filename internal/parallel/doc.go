@@ -15,10 +15,11 @@
 //
 //   - A partitioner (PartitionLeaves) traverses the Q-tree once and
 //     splits its Hilbert-ordered leaf sequence into contiguous work
-//     units. Contiguity preserves the spatial locality that feeds each
-//     worker's reuse buffer; the optional cost-balanced mode sizes units
-//     by leaf entry counts instead of leaf counts, which evens out
-//     skewed (clustered) datasets.
+//     units of near-equal leaf count, four per worker. Contiguity
+//     preserves the spatial locality that feeds each worker's reuse
+//     buffer; having more units than workers lets the pool even out
+//     skewed (clustered) datasets, since a worker that drew a cheap unit
+//     pulls the next one.
 //   - A worker pool where each worker pulls units from a shared queue and
 //     runs the NM-CIJ conditional-filter + refinement pipeline
 //     (core.BatchPipeline) against the shared read-only trees. Workers

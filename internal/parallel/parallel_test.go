@@ -28,8 +28,8 @@ func buildTrees(t testing.TB, p, q []geom.Point, bufferPages int) (*rtree.Tree, 
 }
 
 // distributions returns the dataset shapes the equivalence property is
-// checked on: uniform, clustered (skewed leaf occupancy — the case
-// balanced partitioning exists for), and an asymmetric-cardinality pair.
+// checked on: uniform, clustered (skewed leaf occupancy), and an
+// asymmetric-cardinality pair.
 func distributions() []struct {
 	name string
 	p, q []geom.Point
@@ -46,8 +46,8 @@ func distributions() []struct {
 }
 
 // TestEquivalence is the core correctness property of the engine: for
-// every worker count and partitioning mode, the parallel pair set is
-// identical to serial NM-CIJ and to the brute-force oracle.
+// every worker count, the parallel pair set is identical to serial NM-CIJ
+// and to the brute-force oracle.
 func TestEquivalence(t *testing.T) {
 	for _, dist := range distributions() {
 		dist := dist
@@ -63,17 +63,14 @@ func TestEquivalence(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 4, 8} {
-				for _, balanced := range []bool{false, true} {
-					opts := parallel.DefaultOptions()
-					opts.Workers = workers
-					opts.Balanced = balanced
-					res := parallel.Join(rp, rq, dataset.Domain, opts)
-					if !core.SamePairs(res.Pairs, serial.Pairs) {
-						t.Errorf("workers=%d balanced=%v: pair set differs from serial: extra=%v missing=%v",
-							workers, balanced,
-							core.DiffPairs(res.Pairs, serial.Pairs),
-							core.DiffPairs(serial.Pairs, res.Pairs))
-					}
+				opts := parallel.DefaultOptions()
+				opts.Workers = workers
+				res := parallel.Join(rp, rq, dataset.Domain, opts)
+				if !core.SamePairs(res.Pairs, serial.Pairs) {
+					t.Errorf("workers=%d: pair set differs from serial: extra=%v missing=%v",
+						workers,
+						core.DiffPairs(res.Pairs, serial.Pairs),
+						core.DiffPairs(serial.Pairs, res.Pairs))
 				}
 			}
 		})

@@ -59,39 +59,17 @@ func checkCover(t *testing.T, units []parallel.Unit, want [][]voronoi.Site, maxU
 }
 
 func TestPartitionCoversLeaves(t *testing.T) {
-	for _, balanced := range []bool{false, true} {
-		for _, maxUnits := range []int{1, 2, 3, 7, 16, 1000} {
-			_, rq := buildTrees(t, dataset.Uniform(50, 71), dataset.Clustered(800, 6, 72), 16)
-			want := leafSequence(rq)
-			units := parallel.PartitionLeaves(rq, dataset.Domain, maxUnits, balanced)
-			checkCover(t, units, want, maxUnits)
-		}
+	for _, maxUnits := range []int{1, 2, 3, 7, 16, 1000} {
+		_, rq := buildTrees(t, dataset.Uniform(50, 71), dataset.Clustered(800, 6, 72), 16)
+		want := leafSequence(rq)
+		units := parallel.PartitionLeaves(rq, dataset.Domain, maxUnits)
+		checkCover(t, units, want, maxUnits)
 	}
 }
 
 func TestPartitionEmptyTree(t *testing.T) {
 	_, rq := buildTrees(t, dataset.Uniform(50, 73), nil, 8)
-	if units := parallel.PartitionLeaves(rq, dataset.Domain, 4, true); len(units) != 0 {
+	if units := parallel.PartitionLeaves(rq, dataset.Domain, 4); len(units) != 0 {
 		t.Fatalf("empty tree produced %d units", len(units))
-	}
-}
-
-// TestPartitionBalanced: on clustered data, cost-balanced units must
-// spread the points more evenly than a pathological split — no unit may
-// exceed twice the ideal share (the greedy fill overshoots by at most one
-// leaf, and a leaf holds far fewer points than a unit's share here).
-func TestPartitionBalanced(t *testing.T) {
-	_, rq := buildTrees(t, dataset.Uniform(50, 74), dataset.Clustered(2000, 5, 75), 16)
-	const maxUnits = 8
-	units := parallel.PartitionLeaves(rq, dataset.Domain, maxUnits, true)
-	total := 0
-	for _, u := range units {
-		total += u.Points
-	}
-	ideal := float64(total) / float64(len(units))
-	for _, u := range units {
-		if float64(u.Points) > 2*ideal && len(u.Batches) > 1 {
-			t.Errorf("unit %d carries %d points, over 2x the ideal share %.0f", u.Index, u.Points, ideal)
-		}
 	}
 }

@@ -211,34 +211,3 @@ func TestForkDecodedCachesIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestDecodeCachingOffMatchesOn runs the same traversals with decode
-// caching disabled and asserts identical results and identical I/O
-// accounting — the cache is invisible to everything but the decode-hit
-// counters.
-func TestDecodeCachingOffMatchesOn(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	pts := randPoints(rng, 2000)
-
-	run := func(caching bool) (int, storage.Stats) {
-		buf := newBuf(t, 256)
-		buf.SetDecodeCaching(caching)
-		tr := BulkLoadPoints(buf, pts, testDomain, 1)
-		buf.ResetStats()
-		n := 0
-		for i := 0; i < 5; i++ {
-			n = len(tr.RangeSearch(geom.NewRect(2000, 2000, 7000, 7000)))
-		}
-		s := buf.Stats()
-		s.DecodeHits, s.DecodeMisses = 0, 0 // the only counters allowed to differ
-		return n, s
-	}
-	nOn, sOn := run(true)
-	nOff, sOff := run(false)
-	if nOn != nOff {
-		t.Fatalf("results differ: %d with caching, %d without", nOn, nOff)
-	}
-	if sOn != sOff {
-		t.Fatalf("I/O accounting differs: %+v with caching, %+v without", sOn, sOff)
-	}
-}

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"sort"
-
 	"cij/internal/geom"
 	"cij/internal/storage"
 )
@@ -18,9 +16,8 @@ import (
 // and DecodeMisses are structurally zero.
 //
 // Flat trees are immutable: Insert/Delete (and any other mutation path)
-// panic. They are produced either by one-shot conversion of a bulk-loaded
-// paged tree (Freeze/FreezeWith, structure-preserving) or directly by the
-// bulk loader (FlatBulkLoadPoints, no paged intermediate).
+// panic. They are produced only by one-shot conversion of a built paged
+// tree (Freeze/FreezeWith, structure-preserving).
 
 // flatStore is the arena of a flat tree. nodes is the slab indexed by
 // PageID; every node's Entries is a subslice of the shared entries arena,
@@ -32,7 +29,7 @@ type flatStore struct {
 	verts   []geom.Point
 }
 
-// Flat reports whether the tree is arena-resident (frozen or flat-built).
+// Flat reports whether the tree is arena-resident (frozen).
 func (t *Tree) Flat() bool { return t.flat != nil }
 
 // Freeze returns a flat, read-only copy of the tree on a fresh stats
@@ -123,88 +120,4 @@ func (f *flatStore) copyFrom(t *Tree, id storage.PageID, level int) storage.Page
 		}
 	}
 	return storage.PageID(slot)
-}
-
-// alloc appends one node to the arena and returns its slab index. ents is
-// copied into the entries arena.
-func (f *flatStore) alloc(leaf bool, ents []Entry) storage.PageID {
-	slot := len(f.nodes)
-	estart := len(f.entries)
-	f.entries = append(f.entries, ents...)
-	f.nodes = append(f.nodes, Node{Leaf: leaf, Entries: f.entries[estart:len(f.entries):len(f.entries)]})
-	return storage.PageID(slot)
-}
-
-// FlatBulkLoadPoints builds a flat point tree directly — Hilbert-sorted,
-// fully packed, bottom-up, mirroring BulkLoadPoints exactly (same leaf
-// partitioning, same fan-out, same entry order) but into the arena with
-// no paged intermediate: no page is encoded, written or ever decoded.
-// pageSize only determines node capacities, so flat and paged trees built
-// from the same inputs are structurally identical (Freeze(BulkLoadPoints)
-// and FlatBulkLoadPoints produce the same shape, entry for entry).
-func FlatBulkLoadPoints(pts []geom.Point, domain geom.Rect, pageSize int, fillFactor float64) *Tree {
-	ledger := storage.NewFlatLedger(storage.NewDisk(pageSize))
-	t := New(ledger, KindPoints)
-	f := &flatStore{}
-	t.flat = f
-	if len(pts) == 0 {
-		return t
-	}
-	leafCap := scaleCap(t.maxPoints, fillFactor)
-	fanout := scaleCap(t.maxInternal, fillFactor)
-
-	// Exact-count pre-pass over the level structure.
-	nLeaves := (len(pts) + leafCap - 1) / leafCap
-	total, width := nLeaves, nLeaves
-	for width > 1 {
-		width = (width + fanout - 1) / fanout
-		total += width
-	}
-	f.nodes = make([]Node, 0, total)
-	f.entries = make([]Entry, 0, len(pts)+total-1)
-
-	type keyed struct {
-		id  int64
-		pt  geom.Point
-		key uint64
-	}
-	items := make([]keyed, len(pts))
-	for i, p := range pts {
-		items[i] = keyed{id: int64(i), pt: p, key: geom.HilbertValue(p, domain)}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-
-	var level []Entry
-	ents := make([]Entry, 0, leafCap)
-	for start := 0; start < len(items); start += leafCap {
-		end := start + leafCap
-		if end > len(items) {
-			end = len(items)
-		}
-		ents = ents[:0]
-		for _, it := range items[start:end] {
-			ents = append(ents, Entry{MBR: geom.RectFromPoint(it.pt), ID: it.id, Pt: it.pt})
-		}
-		id := f.alloc(true, ents)
-		level = append(level, Entry{MBR: f.nodes[id].MBR(), Child: id})
-	}
-	t.size = len(pts)
-
-	height := 1
-	for len(level) > 1 {
-		var next []Entry
-		for start := 0; start < len(level); start += fanout {
-			end := start + fanout
-			if end > len(level) {
-				end = len(level)
-			}
-			id := f.alloc(false, level[start:end])
-			next = append(next, Entry{MBR: f.nodes[id].MBR(), Child: id})
-		}
-		level = next
-		height++
-	}
-	t.root = level[0].Child
-	t.height = height
-	return t
 }

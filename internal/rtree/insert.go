@@ -17,17 +17,6 @@ func (t *Tree) InsertPoint(id int64, p geom.Point) {
 	t.insert(Entry{MBR: geom.RectFromPoint(p), ID: id, Pt: p})
 }
 
-// InsertPolygon adds a polygon to a polygon tree dynamically.
-func (t *Tree) InsertPolygon(id int64, g geom.Polygon) {
-	if t.kind != KindPolygons {
-		panic("rtree: InsertPolygon on a point tree")
-	}
-	if g.IsEmpty() {
-		panic("rtree: inserting empty polygon")
-	}
-	t.insert(Entry{MBR: g.Bounds(), ID: id, Poly: g})
-}
-
 func (t *Tree) insert(e Entry) {
 	if t.root == storage.InvalidPage {
 		t.root = t.allocNode(&Node{Leaf: true, Entries: []Entry{e}})
@@ -160,31 +149,9 @@ func (t *Tree) splitNode(id storage.PageID, n *Node, e Entry) *Entry {
 		}
 	}
 
-	// Variable-sized polygon leaves: the area-driven grouping above may
-	// overflow a page in bytes; rebalance by moving entries to the lighter
-	// group.
-	if n.Leaf && t.kind == KindPolygons {
-		g1, g2 = t.rebalanceLeafBytes(g1, g2)
-	}
-
 	n.Entries = g1
 	t.writeNode(id, n)
 	sibling := &Node{Leaf: n.Leaf, Entries: g2}
 	sid := t.allocNode(sibling)
 	return &Entry{MBR: sibling.MBR(), Child: sid}
-}
-
-func (t *Tree) rebalanceLeafBytes(g1, g2 []Entry) ([]Entry, []Entry) {
-	for !t.leafFits(g1, nil) && len(g1) > 1 {
-		g2 = append(g2, g1[len(g1)-1])
-		g1 = g1[:len(g1)-1]
-	}
-	for !t.leafFits(g2, nil) && len(g2) > 1 {
-		g1 = append(g1, g2[len(g2)-1])
-		g2 = g2[:len(g2)-1]
-	}
-	if !t.leafFits(g1, nil) || !t.leafFits(g2, nil) {
-		panic("rtree: polygon too large for page during split")
-	}
-	return g1, g2
 }

@@ -1,5 +1,5 @@
 // Package rtree implements the disk-resident R-tree substrate of the CIJ
-// paper: Guttman insertion with quadratic split, bottom-up bulk loading in
+// paper: Guttman point insertion with quadratic split, bottom-up bulk loading in
 // Hilbert order (the optimized Voronoi R-tree construction of Section
 // III-C), range search, best-first incremental nearest-neighbor browsing
 // (Hjaltason & Samet), depth-first traversal in Hilbert order, and the

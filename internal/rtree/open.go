@@ -34,8 +34,11 @@ func Open(buf *storage.Buffer, meta Meta) (*Tree, error) {
 		if meta.Root < 0 || int(meta.Root) >= buf.Disk().NumPages() {
 			return nil, fmt.Errorf("rtree: meta root %d outside disk of %d pages", meta.Root, buf.Disk().NumPages())
 		}
-		if meta.Height < 1 || meta.Size < 0 {
-			return nil, fmt.Errorf("rtree: implausible meta (height %d, size %d)", meta.Height, meta.Size)
+		// Every level holds at least one page, so a taller tree cannot
+		// exist on this disk (and would only drive level-by-level
+		// recursion as deep as the height claims).
+		if meta.Height < 1 || meta.Height > buf.Disk().NumPages() || meta.Size < 0 {
+			return nil, fmt.Errorf("rtree: implausible meta (height %d, size %d) for a disk of %d pages", meta.Height, meta.Size, buf.Disk().NumPages())
 		}
 	} else if meta.Height != 0 || meta.Size != 0 {
 		return nil, fmt.Errorf("rtree: empty root with height %d, size %d", meta.Height, meta.Size)

@@ -99,4 +99,29 @@ func TestOpenRejectsBadMeta(t *testing.T) {
 			t.Errorf("case %d: Open accepted bad meta %+v", i, m)
 		}
 	}
+	// Every level takes a page, so a header taller than the disk is bad.
+	buf := newBuf(t, 0)
+	buf.Alloc()
+	if _, err := Open(buf, Meta{Kind: KindPoints, Root: 0, Height: 2, Size: 1}); err == nil {
+		t.Error("Open accepted a height of 2 on a one-page disk")
+	}
+}
+
+// TestCheckInvariantsRejectsSharedPage: a page reached along two paths is
+// not a tree, even when the leaf count matches the header. Chained, such
+// pages would make the walk exponential in the height.
+func TestCheckInvariantsRejectsSharedPage(t *testing.T) {
+	buf := newBuf(t, 0)
+	leaf := buf.Alloc()
+	buf.Write(leaf, encodeNode(&Node{Leaf: true, Entries: []Entry{{ID: 0, Pt: geom.Pt(1, 2)}}}, KindPoints, buf.Disk().PageSize()))
+	mbr := geom.RectFromPoint(geom.Pt(1, 2))
+	root := buf.Alloc()
+	buf.Write(root, encodeNode(&Node{Entries: []Entry{{MBR: mbr, Child: leaf}, {MBR: mbr, Child: leaf}}}, KindPoints, buf.Disk().PageSize()))
+	tr, err := Open(buf, Meta{Kind: KindPoints, Root: root, Height: 2, Size: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a leaf shared by two entries")
+	}
 }

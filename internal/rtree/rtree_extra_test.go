@@ -199,23 +199,6 @@ func TestNNIteratorTieBreaking(t *testing.T) {
 	}
 }
 
-func TestLargePolygonSplitRebalance(t *testing.T) {
-	// Insert polygons with many vertices so quadratic split must
-	// rebalance by bytes.
-	rng := rand.New(rand.NewSource(63))
-	tr := New(newBuf(t, 32), KindPolygons)
-	for i := 0; i < 120; i++ {
-		c := geom.Pt(rng.Float64()*9000+500, rng.Float64()*9000+500)
-		tr.InsertPolygon(int64(i), regularPolygon(c, 200, 3+rng.Intn(25)))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != 120 {
-		t.Fatalf("size = %d", tr.Size())
-	}
-}
-
 func TestHilbertVsSTRBothCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	pts := randPoints(rng, 2000)

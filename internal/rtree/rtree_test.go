@@ -418,30 +418,14 @@ func TestPolygonPackerInvariants(t *testing.T) {
 	}
 }
 
-func TestInsertPolygonDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	tr := New(newBuf(t, 64), KindPolygons)
-	const n = 400
-	for i := 0; i < n; i++ {
-		cx, cy := rng.Float64()*10000, rng.Float64()*10000
-		tr.InsertPolygon(int64(i), regularPolygon(geom.Pt(cx, cy), 30, 3+rng.Intn(6)))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != n {
-		t.Fatalf("size = %d", tr.Size())
-	}
-}
-
 func TestInsertWrongKindPanics(t *testing.T) {
-	tr := New(newBuf(t, 4), KindPoints)
+	tr := New(newBuf(t, 4), KindPolygons)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tr.InsertPolygon(0, geom.NewRect(0, 0, 1, 1).Polygon())
+	tr.InsertPoint(0, geom.Pt(1, 1))
 }
 
 func TestNumPagesMatchesDiskForSingleTree(t *testing.T) {

@@ -240,17 +240,6 @@ func (t *Tree) allocNode(n *Node) storage.PageID {
 	return id
 }
 
-// maxLeafEntries returns the fixed leaf capacity for point trees. Polygon
-// leaves are byte-packed and have no fixed entry capacity.
-func (t *Tree) maxLeafEntries() int {
-	if t.kind == KindPoints {
-		return t.maxPoints
-	}
-	// For polygon trees used with Insert (tests only), derive a
-	// conservative capacity from the minimum polygon size (triangle).
-	return (t.buf.Disk().PageSize() - headerSize) / (polyEntryFixed + 3*vertexSize)
-}
-
 // leafFits reports whether the entries (plus optionally extra) fit into a
 // leaf page, accounting for variable-size polygon entries.
 func (t *Tree) leafFits(entries []Entry, extra *Entry) bool {
@@ -272,9 +261,10 @@ func (t *Tree) leafFits(entries []Entry, extra *Entry) bool {
 }
 
 // CheckInvariants validates the structural invariants of the tree: every
-// internal entry's MBR equals the MBR of its child node, all leaves are at
-// the same depth, and node occupancy respects capacities. It is exported
-// for tests and returns a descriptive error.
+// page is reached once, every internal entry's MBR equals the MBR of its
+// child node, all leaves are at the same depth, and node occupancy
+// respects capacities. Tests and snapshot restore call it; it returns a
+// descriptive error.
 func (t *Tree) CheckInvariants() error {
 	if t.root == storage.InvalidPage {
 		if t.size != 0 {
@@ -282,7 +272,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	count, err := t.checkNode(t.root, t.height)
+	count, err := t.checkNode(t.root, t.height, make(map[storage.PageID]bool))
 	if err != nil {
 		return err
 	}
@@ -292,7 +282,14 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkNode(id storage.PageID, level int) (int, error) {
+// checkNode validates the subtree at id, whose level is given. seen holds
+// the pages visited so far: a page reached twice means a cycle or a
+// shared child, which would otherwise make the walk exponential.
+func (t *Tree) checkNode(id storage.PageID, level int, seen map[storage.PageID]bool) (int, error) {
+	if seen[id] {
+		return 0, fmt.Errorf("page %d: reached twice", id)
+	}
+	seen[id] = true
 	n := t.readNodeQuiet(id)
 	if level == 1 != n.Leaf {
 		return 0, fmt.Errorf("page %d: leaf flag %v at level %d (height %d)", id, n.Leaf, level, t.height)
@@ -320,7 +317,7 @@ func (t *Tree) checkNode(id storage.PageID, level int) (int, error) {
 		if !rectAlmostEqual(cm, e.MBR) {
 			return 0, fmt.Errorf("page %d entry %d: MBR %v != child MBR %v", id, i, e.MBR, cm)
 		}
-		c, err := t.checkNode(e.Child, level-1)
+		c, err := t.checkNode(e.Child, level-1, seen)
 		if err != nil {
 			return 0, err
 		}

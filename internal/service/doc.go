@@ -177,9 +177,13 @@
 // Recovery (Open) replays manifest -> snapshots -> WAL tail to the exact
 // last-installed state, reports itself via RecoveryInfo and the
 // cij_recovery_* /metrics families, and Close writes the final
-// checkpoint plus the clean-shutdown marker. Fsck (fsck.go) is the same
-// pipeline read-only, surfaced as `cijtool fsck`: readManifest, the
-// snapshot restore into a scratch registry, and replayWAL, so its verdict
-// is whether boot would succeed. The crash matrix in internal/check
-// proves every fault point recovers to an exactly-installed version.
+// checkpoint plus the clean-shutdown marker. Restore treats a snapshot's
+// tree as untrusted input: a tree that fails its invariants, names a
+// point twice or outside the domain, or does not decode is an error,
+// never a panic or a phantom point. Fsck (fsck.go) is the same pipeline
+// read-only, surfaced as `cijtool fsck`: readManifest, restoreSnapshot
+// into a scratch registry (one read of each page file), and replayWAL,
+// so its verdict is whether boot would succeed. The crash matrix in
+// internal/check proves every fault point recovers to an
+// exactly-installed version.
 package service

@@ -46,10 +46,10 @@ func (r *FsckReport) problemf(format string, args ...any) {
 
 // Fsck verifies a data directory offline, without opening it for
 // writing, by running recovery's own pipeline against a scratch
-// registry: readManifest, the snapshot restore (after a page-checksum
-// pass) and replayWAL. Its verdict is therefore whether boot would
-// succeed, and its WAL counts are the ones boot would log. cijtool's
-// `fsck` subcommand prints the report.
+// registry: readManifest, restoreSnapshot (which reads each page file
+// once, checksums and all) and replayWAL. Its verdict is therefore
+// whether boot would succeed, and its WAL counts are the ones boot would
+// log. cijtool's `fsck` subcommand prints the report.
 func Fsck(fsys storage.FS, dir string) *FsckReport {
 	r := &FsckReport{}
 	man, fresh, err := readManifest(fsys, dir)
@@ -69,24 +69,15 @@ func Fsck(fsys storage.FS, dir string) *FsckReport {
 	for _, md := range man.Datasets {
 		referenced[md.File] = true
 		fd := FsckDataset{Name: md.Name, Version: md.Version, File: md.File}
-		path := filepath.Join(dir, md.File)
-		pages, pageSize, err := storage.VerifyDiskFile(fsys, path)
-		if err != nil {
-			r.problemf("%s: %v", md.Name, err)
-			r.Datasets = append(r.Datasets, fd)
-			continue
-		}
-		fd.Pages, fd.PageSize = pages, pageSize
-		d, err := restoreDataset(fsys, path, md, reg.bufferPct)
-		if err == nil {
-			err = reg.InstallRestored(d)
+		disk, d, err := restoreSnapshot(fsys, dir, md, reg)
+		if disk != nil {
+			fd.Pages, fd.PageSize = disk.NumPages(), disk.PageSize()
 		}
 		if err != nil {
 			r.problemf("%s: %v", md.Name, err)
-			r.Datasets = append(r.Datasets, fd)
-			continue
+		} else {
+			fd.Points = d.Live
 		}
-		fd.Points = d.Live
 		r.Datasets = append(r.Datasets, fd)
 	}
 

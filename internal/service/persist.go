@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"cij/internal/dataset"
 	"cij/internal/geom"
 	"cij/internal/rtree"
 	"cij/internal/storage"
@@ -153,12 +154,8 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 	info := &RecoveryInfo{Fresh: fresh, CleanShutdown: man.CleanShutdown}
 
 	for _, md := range st.man.Datasets {
-		d, err := restoreDataset(fsys, st.path(md.File), md, reg.bufferPct)
-		if err != nil {
+		if _, _, err := restoreSnapshot(fsys, dir, md, reg); err != nil {
 			return nil, nil, fmt.Errorf("service: restoring %q v%d: %w", md.Name, md.Version, err)
-		}
-		if err := reg.InstallRestored(d); err != nil {
-			return nil, nil, err
 		}
 		info.Datasets++
 	}
@@ -416,18 +413,43 @@ func (st *Store) close(reg *Registry) error {
 	return st.wal.Close()
 }
 
-// restoreDataset rebuilds one serving Dataset from its snapshot: reopen
-// the disk (verifying every page checksum), reattach the tree at the
-// manifest's header, and reconstruct the point table from the leaves.
-// Point IDs are leaf entry IDs, so live points land back in their exact
-// slots; slots the leaves do not name were tombstoned before the
-// snapshot and stay dead (their coordinates are gone, but nothing reads
-// a dead slot's position).
-func restoreDataset(fsys storage.FS, path string, md manifestDataset, bufferPct float64) (*Dataset, error) {
-	disk, err := storage.OpenDiskFile(fsys, path)
+// restoreSnapshot reads md's page file, checking every page checksum, and
+// installs the dataset it holds into reg. Boot and fsck both restore
+// through here, so each reads a snapshot once. The disk is returned
+// whenever the file itself was sound, even if the tree on it was not.
+func restoreSnapshot(fsys storage.FS, dir string, md manifestDataset, reg *Registry) (*storage.Disk, *Dataset, error) {
+	disk, err := storage.OpenDiskFile(fsys, filepath.Join(dir, md.File))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	d, err := restoreDataset(disk, md, reg.bufferPct)
+	if err == nil {
+		err = reg.InstallRestored(d)
+	}
+	return disk, d, err
+}
+
+// restoreDataset rebuilds one serving Dataset from its snapshot's disk:
+// reattach the tree at the manifest's header and reconstruct the point
+// table from the leaves. Point IDs are leaf entry IDs, so live points
+// land back in their exact slots; slots the leaves do not name were
+// tombstoned before the snapshot and stay dead (their coordinates are
+// gone, but nothing reads a dead slot's position).
+//
+// Checksums prove a page holds the bytes that were written, not that the
+// pages form a dataset, so the tree is untrusted input: it must be a
+// point tree that passes its invariants, and name each point once, inside
+// the domain, within the ID space any dataset may have. A page that does
+// not decode is an error here, not a panic.
+func restoreDataset(disk *storage.Disk, md manifestDataset, bufferPct float64) (d *Dataset, err error) {
+	if md.Meta.Kind != rtree.KindPoints {
+		return nil, fmt.Errorf("snapshot tree has kind %d, not a point tree", md.Meta.Kind)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			d, err = nil, fmt.Errorf("snapshot tree does not decode: %v", p)
+		}
+	}()
 	// Restore-time traversals run through the build buffer, exactly like
 	// an ingest-time build; newDataset applies the serving capacity (and
 	// clears the stats) once the dataset is assembled.
@@ -439,32 +461,32 @@ func restoreDataset(fsys storage.FS, path string, md manifestDataset, bufferPct 
 		return nil, fmt.Errorf("restored tree fails invariants: %w", err)
 	}
 
+	// CheckInvariants matched the leaf entries to md.Meta.Size.
 	entries := tree.AllEntries()
-	if len(entries) != md.Meta.Size {
-		return nil, fmt.Errorf("restored tree has %d entries, header says %d", len(entries), md.Meta.Size)
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("restored tree holds no points")
 	}
 	maxID := int64(-1)
 	for _, e := range entries {
-		if e.ID < 0 {
-			return nil, fmt.Errorf("restored tree carries negative point id %d", e.ID)
+		if e.ID < 0 || e.ID >= maxDatasetPoints {
+			return nil, fmt.Errorf("restored tree carries point id %d outside [0, %d)", e.ID, maxDatasetPoints)
 		}
-		if e.ID > maxID {
-			maxID = e.ID
+		if !dataset.Domain.Contains(e.Pt) {
+			return nil, fmt.Errorf("restored tree places point %d at (%v, %v), outside the domain", e.ID, e.Pt.X, e.Pt.Y)
 		}
+		maxID = max(maxID, e.ID)
 	}
 	pts := make([]geom.Point, maxID+1)
-	var alive []bool
-	if int64(len(entries)) != maxID+1 {
-		alive = make([]bool, maxID+1)
-	}
+	alive := make([]bool, maxID+1)
 	for _, e := range entries {
-		pts[e.ID] = e.Pt
-		if alive != nil {
-			if alive[e.ID] {
-				return nil, fmt.Errorf("restored tree names point %d twice", e.ID)
-			}
-			alive[e.ID] = true
+		if alive[e.ID] {
+			return nil, fmt.Errorf("restored tree names point %d twice", e.ID)
 		}
+		alive[e.ID] = true
+		pts[e.ID] = e.Pt
+	}
+	if len(entries) == len(pts) {
+		alive = nil // no tombstones
 	}
 
 	return newDataset(&Dataset{

@@ -3,14 +3,17 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
 	"cij/internal/core"
 	"cij/internal/dataset"
 	"cij/internal/geom"
+	"cij/internal/rtree"
 	"cij/internal/storage"
 )
 
@@ -432,4 +435,128 @@ func TestFsck(t *testing.T) {
 	if rep := Fsck(fs, "data"); rep.OK() {
 		t.Fatalf("fsck passed a directory boot cannot recover: %+v", rep)
 	}
+
+	// Snapshots whose page checksums all hold but whose tree no dataset
+	// can come from: boot refuses each, and fsck names it.
+	for _, c := range malformedSnapshots() {
+		fs := storage.NewFaultFS()
+		writeSnapshotDir(t, fs, c.pages, c.meta)
+		if _, err := Open(durableConfig(fs)); err == nil {
+			t.Errorf("%s: Open restored the snapshot", c.name)
+		}
+		if rep := Fsck(fs, "data"); rep.OK() {
+			t.Errorf("%s: fsck passed the snapshot: %+v", c.name, rep)
+		}
+	}
+}
+
+// malformedSnapshot is a snapshot's page images, back to back, and the
+// tree header its manifest entry carries.
+type malformedSnapshot struct {
+	name  string
+	pages []byte
+	meta  rtree.Meta
+}
+
+// malformedSnapshots are well-checksummed snapshots that restore must
+// reject: a point table with a duplicate ID, a page that does not decode,
+// and a self-referencing root under a header taller than the disk.
+func malformedSnapshots() []malformedSnapshot {
+	// Leaves naming points {0, 2, 2}: restored naively, point 2 is
+	// indexed twice and the unnamed slot 1 comes back live at (0, 0).
+	dup := rtree.New(storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), 8), rtree.KindPoints)
+	for i, id := range []int64{0, 2, 2} {
+		dup.InsertPoint(id, geom.Pt(float64(10*i+10), 10))
+	}
+	// A leaf whose header claims 65,535 entries, far more than a page
+	// holds.
+	huge := make([]byte, storage.DefaultPageSize)
+	huge[1] = 1
+	binary.LittleEndian.PutUint16(huge[2:4], 0xFFFF)
+	// An internal root whose one entry points back at the root itself.
+	loop := make([]byte, storage.DefaultPageSize)
+	binary.LittleEndian.PutUint16(loop[2:4], 1)
+	binary.LittleEndian.PutUint64(loop[24:32], math.Float64bits(1)) // MBR (0, 0)-(1, 1)
+	binary.LittleEndian.PutUint64(loop[32:40], math.Float64bits(1))
+	return []malformedSnapshot{
+		{"duplicate point id", dup.Buffer().Disk().PageBytes(dup.Root()), dup.Meta()},
+		{"undecodable leaf", huge, rtree.Meta{Kind: rtree.KindPoints, Root: 0, Height: 1, Size: 0xFFFF}},
+		{"self-referencing root", loop, rtree.Meta{Kind: rtree.KindPoints, Root: 0, Height: math.MaxInt32, Size: 1}},
+	}
+}
+
+// writeSnapshotDir makes dir "data" hold one dataset "p" at version 1,
+// whose snapshot is pages (cut into DefaultPageSize pages, the last one
+// zero-padded) under a manifest entry carrying meta. It returns that
+// entry.
+func writeSnapshotDir(t testing.TB, fs storage.FS, pages []byte, meta rtree.Meta) manifestDataset {
+	t.Helper()
+	disk := storage.NewDisk(storage.DefaultPageSize)
+	buf := storage.NewBuffer(disk, 0)
+	for off := 0; off < len(pages); off += storage.DefaultPageSize {
+		buf.Write(buf.Alloc(), pages[off:min(off+storage.DefaultPageSize, len(pages))])
+	}
+	md := manifestDataset{Name: "p", Version: 1, File: snapshotFile("p", 1), Meta: meta}
+	man, err := json.Marshal(manifest{Format: manifestFormat, CleanShutdown: true, Datasets: []manifestDataset{md}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.SaveDiskFile(fs, "data/"+md.File, disk); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteFileAtomic(fs, "data/"+manifestName, man); err != nil {
+		t.Fatal(err)
+	}
+	return md
+}
+
+// FuzzRestoreSnapshot: whatever pages a snapshot holds (checksums valid)
+// and whatever tree header its manifest carries, restore either fails
+// with an error or yields a dataset whose live IDs are distinct, whose
+// live count is the tree's size, and whose every live point sits in its
+// own slot.
+func FuzzRestoreSnapshot(f *testing.F) {
+	good := loadTrees(dataset.Uniform(120, 5))[0]
+	disk := good.Buffer().Disk()
+	var img []byte
+	for i := 0; i < disk.NumPages(); i++ {
+		img = append(img, disk.PageBytes(storage.PageID(i))...)
+	}
+	seed := func(pages []byte, m rtree.Meta) {
+		f.Add(pages, uint8(m.Kind), int64(m.Root), m.Height, m.Size)
+	}
+	seed(img, good.Meta())
+	for _, c := range malformedSnapshots() {
+		seed(c.pages, c.meta)
+	}
+	f.Fuzz(func(t *testing.T, pages []byte, kind uint8, root int64, height, size int) {
+		fs := storage.NewFaultFS()
+		md := writeSnapshotDir(t, fs, pages, rtree.Meta{Kind: rtree.Kind(kind), Root: storage.PageID(root), Height: height, Size: size})
+		_, d, err := restoreSnapshot(fs, "data", md, NewRegistry(0))
+		if err != nil {
+			return
+		}
+		entries := d.Tree.AllEntries()
+		if d.Live != len(entries) || d.Live != d.Tree.Size() {
+			t.Fatalf("Live = %d, tree holds %d entries, size %d", d.Live, len(entries), d.Tree.Size())
+		}
+		named := make(map[int64]bool, len(entries))
+		for _, e := range entries {
+			if named[e.ID] {
+				t.Fatalf("point %d is live twice", e.ID)
+			}
+			named[e.ID] = true
+			if !d.alive(e.ID) || d.Points[e.ID] != e.Pt {
+				t.Fatalf("point %d at %v is not in its slot", e.ID, e.Pt)
+			}
+		}
+		for id := range d.Points {
+			if d.alive(int64(id)) && !named[int64(id)] {
+				t.Fatalf("slot %d is live but the tree does not name it", id)
+			}
+		}
+	})
 }

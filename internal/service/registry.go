@@ -233,10 +233,9 @@ func (r *Registry) List() []*Dataset {
 }
 
 // Mutation sentinel errors; the HTTP layer maps them to statuses
-// (404 unknown, 409 immutable/conflict, 400 everything else).
+// (404 unknown, 409 conflict, 400 everything else).
 var (
 	ErrUnknownDataset    = errors.New("unknown dataset")
-	ErrDatasetImmutable  = errors.New("dataset is immutable")
 	ErrMutationConflict  = errors.New("dataset replaced concurrently; retry the mutation")
 	errEmptyMutation     = errors.New("empty mutation batch")
 	errMutationTooLarge  = errors.New("mutation batch too large")
@@ -316,14 +315,14 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 	if !ok {
 		return nil, fmt.Errorf("service: %w %q", ErrUnknownDataset, name)
 	}
-	if d.Tree.Flat() {
-		return nil, fmt.Errorf("service: %w: %q is served from flat storage; re-ingest to mutate", ErrDatasetImmutable, name)
-	}
 	if spec.size() == 0 {
 		return nil, fmt.Errorf("service: %w for %q", errEmptyMutation, name)
 	}
 	if spec.size() > maxMutationBatch {
 		return nil, fmt.Errorf("service: %w: %d changes (max %d); re-ingest instead", errMutationTooLarge, spec.size(), maxMutationBatch)
+	}
+	if ids := len(d.Points) + len(spec.Insert); ids > maxDatasetPoints {
+		return nil, fmt.Errorf("service: %w: %q would hold %d point IDs (max %d); re-ingest instead", errMutationTooLarge, name, ids, maxDatasetPoints)
 	}
 	touched := make(map[int64]bool, len(spec.Update)+len(spec.Delete))
 	for _, id := range spec.Delete {

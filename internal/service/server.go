@@ -16,6 +16,11 @@ import (
 // dataset.
 const maxIngestBytes = 256 << 20
 
+// maxDatasetPoints is the most points a CSV body under maxIngestBytes can
+// carry ("0,0\n" is the shortest row). Generator ingests, mutations and
+// snapshot restores hold a dataset's point-ID space to the same bound.
+const maxDatasetPoints = maxIngestBytes / 4
+
 // maxJoinBodyBytes caps a join request body; a JoinRequest is a few dozen
 // bytes.
 const maxJoinBodyBytes = 1 << 20
@@ -124,6 +129,9 @@ func specFromQuery(r *http.Request, kind string) (dataset.Spec, error) {
 	}
 	if spec.Clusters, err = intParam(q.Get("clusters"), 0); err != nil {
 		return spec, fmt.Errorf("bad clusters: %v", err)
+	}
+	if spec.N > maxDatasetPoints || spec.Clusters > maxDatasetPoints {
+		return spec, fmt.Errorf("n and clusters must be at most %d, the most points a CSV ingest can carry", maxDatasetPoints)
 	}
 	seed, err := intParam(q.Get("seed"), 1)
 	if err != nil {

@@ -380,6 +380,35 @@ func TestIngestHTTP(t *testing.T) {
 	}
 }
 
+// TestIngestGeneratorBound: a generator ingest asking for more points or
+// clusters than a CSV body under the ingest cap can carry is the client's
+// 400, not an allocation sized by the query string; the smoke scripts'
+// size still ingests.
+func TestIngestGeneratorBound(t *testing.T) {
+	svc := service.New(service.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"gen=uniform&n=35184372088832", http.StatusBadRequest},
+		{"gen=clustered&n=100&clusters=35184372088832", http.StatusBadRequest},
+		{"gen=uniform&n=2000&seed=1", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/datasets/gen?"+tc.query, "text/csv", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST /datasets/gen?%s: status %d (%s), want %d", tc.query, resp.StatusCode, body.String(), tc.want)
+		}
+	}
+}
+
 // TestIngestRejectsNonFiniteCoordinates: a CSV body with a NaN, an
 // infinity or a coordinate too large to normalize is the client's fault —
 // 400 naming the line, and no dataset registered under the name.

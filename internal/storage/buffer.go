@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Stats accumulates the I/O counters reported in the paper's experiments.
 type Stats struct {
@@ -21,8 +18,8 @@ type Stats struct {
 	// Purely a CPU-side metric: it never contributes to PageAccesses.
 	DecodeHits int64
 	// DecodeMisses counts ReadDecoded calls that found no decoded
-	// representation attached (cold page, invalidated page, or decode
-	// caching disabled) and had to re-parse the page bytes.
+	// representation attached (cold or invalidated page) and had to
+	// re-parse the page bytes.
 	DecodeMisses int64
 }
 
@@ -88,8 +85,6 @@ type Buffer struct {
 	entries map[PageID]*bufEntry // page id -> live entry
 	count   int
 
-	decodeCaching bool // when false, ReadDecoded/SetDecoded ignore the slot
-
 	// backend marks what the buffer fronts: BackendPaged for the ordinary
 	// page cache, BackendFlat for the stats-only ledger of an
 	// arena-resident tree (see backend.go). Forks inherit it.
@@ -115,10 +110,9 @@ func NewBuffer(disk *Disk, capacity int) *Buffer {
 		capacity = 0
 	}
 	b := &Buffer{
-		disk:          disk,
-		capacity:      capacity,
-		entries:       make(map[PageID]*bufEntry),
-		decodeCaching: DecodeCacheDefault(),
+		disk:     disk,
+		capacity: capacity,
+		entries:  make(map[PageID]*bufEntry),
 	}
 	b.head.prev, b.head.next = &b.head, &b.head
 	return b
@@ -171,14 +165,12 @@ func (b *Buffer) Disk() *Disk { return b.disk }
 // Decoded-page slots are per-buffer state like the LRU list, so each fork
 // starts with an empty, private decoded cache — forks never share decoded
 // nodes, which is what keeps parallel workers and per-request service
-// views race-free without any locking. A fork inherits the decode-caching
-// switch and the eviction hook: a hook installed on a dataset's base
-// buffer observes evictions from every per-request view forked off it, so
-// it must itself be safe for concurrent use (an atomic counter is the
-// typical shape).
+// views race-free without any locking. A fork inherits the eviction hook:
+// a hook installed on a dataset's base buffer observes evictions from
+// every per-request view forked off it, so it must itself be safe for
+// concurrent use (an atomic counter is the typical shape).
 func (b *Buffer) Fork(capacity int) *Buffer {
 	f := NewBuffer(b.disk, capacity)
-	f.decodeCaching = b.decodeCaching
 	f.onEvict = b.onEvict
 	f.backend = b.backend
 	return f
@@ -239,8 +231,8 @@ func (b *Buffer) Read(id PageID) []byte {
 }
 
 // ReadDecoded is Read plus the page's decoded slot: it returns the page
-// bytes and, when one is attached and decode caching is on, the decoded
-// representation last stored with SetDecoded. The I/O accounting and LRU
+// bytes and, when one is attached, the decoded representation last stored
+// with SetDecoded. The I/O accounting and LRU
 // effect are exactly those of Read — the decoded value changes what the
 // caller must re-parse, never what the buffer counts. A nil decoded
 // result means the caller should decode the bytes (and may SetDecoded the
@@ -255,7 +247,7 @@ func (b *Buffer) ReadDecoded(id PageID) (data []byte, decoded any, resident bool
 	b.stats.LogicalReads++
 	if e, ok := b.entries[id]; ok {
 		b.moveToFront(e)
-		if e.decoded != nil && b.decodeCaching {
+		if e.decoded != nil {
 			b.stats.DecodeHits++
 			return e.data, e.decoded, true
 		}
@@ -272,13 +264,10 @@ func (b *Buffer) ReadDecoded(id PageID) (data []byte, decoded any, resident bool
 // SetDecoded attaches a decoded representation to the page's buffer slot,
 // to be returned by subsequent ReadDecoded calls while the page stays
 // resident and unwritten. It is a no-op when the page is not resident
-// (capacity-0 buffers never cache decodes) or decode caching is off.
-// No counter is touched and the LRU order is left alone: attaching is
-// bookkeeping on an access that was already counted.
+// (capacity-0 buffers never cache decodes). No counter is touched and the
+// LRU order is left alone: attaching is bookkeeping on an access that was
+// already counted.
 func (b *Buffer) SetDecoded(id PageID, v any) {
-	if !b.decodeCaching {
-		return
-	}
 	if e, ok := b.entries[id]; ok {
 		e.decoded = v
 	}
@@ -305,24 +294,6 @@ func (b *Buffer) Generation() uint64 { return b.gen }
 // buffer. Buffers forked after the call inherit the hook (see Fork), so a
 // hook that may run on several forks concurrently must be thread-safe.
 func (b *Buffer) SetOnEvict(fn func(id PageID, decoded any)) { b.onEvict = fn }
-
-// SetDecodeCaching switches the decoded-slot machinery on or off for this
-// buffer. Off, ReadDecoded never returns a decoded value and SetDecoded
-// is a no-op — every access re-parses, as before the cache existed. The
-// I/O counters and LRU behavior are identical in both modes (the
-// equivalence suite runs both ways to prove it); DecodeHits/DecodeMisses
-// are the only counters that differ.
-func (b *Buffer) SetDecodeCaching(on bool) {
-	b.decodeCaching = on
-	if !on {
-		for e := b.head.next; e != &b.head; e = e.next {
-			e.decoded = nil
-		}
-	}
-}
-
-// DecodeCaching reports whether decoded-slot caching is enabled.
-func (b *Buffer) DecodeCaching() bool { return b.decodeCaching }
 
 // Contains reports whether the page is currently cached (no counter
 // impact). Used by tests.
@@ -384,22 +355,3 @@ func (b *Buffer) evictOverflow() {
 		b.release(back)
 	}
 }
-
-// decodeCacheDefault is the creation-time default for Buffer decode
-// caching: on unless switched off. The equivalence suite flips it to run
-// every backend with and without decoded-node caching; experiment code
-// can flip it for ablations.
-var decodeCacheDefault atomic.Bool
-
-func init() { decodeCacheDefault.Store(true) }
-
-// SetDecodeCacheDefault sets whether buffers created from now on cache
-// decoded pages, returning the previous default. Existing buffers are
-// unaffected; use Buffer.SetDecodeCaching for those.
-func SetDecodeCacheDefault(on bool) (previous bool) {
-	return decodeCacheDefault.Swap(on)
-}
-
-// DecodeCacheDefault reports the creation-time default for decode
-// caching.
-func DecodeCacheDefault() bool { return decodeCacheDefault.Load() }

@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // newTestBuf returns a buffer over a disk with n pre-written pages.
 func newTestBuf(t *testing.T, capacity, pages int) (*Buffer, []PageID) {
@@ -123,36 +126,53 @@ func TestSetCapacityShrinkDropsDecoded(t *testing.T) {
 	}
 }
 
-func TestDecodeCachingToggle(t *testing.T) {
-	b, ids := newTestBuf(t, 4, 1)
-	id := ids[0]
-	b.Read(id)
-	b.SetDecoded(id, "X")
-	b.SetDecodeCaching(false)
-	if _, dec, _ := b.ReadDecoded(id); dec != nil {
-		t.Fatalf("decode caching off still served %v", dec)
-	}
-	b.SetDecoded(id, "Y")
-	b.SetDecodeCaching(true)
-	if _, dec, _ := b.ReadDecoded(id); dec != nil {
-		t.Fatalf("disabled SetDecoded stored %v", dec)
-	}
-}
-
-func TestDecodeCacheDefaultInherited(t *testing.T) {
-	prev := SetDecodeCacheDefault(false)
-	defer SetDecodeCacheDefault(prev)
-	d := NewDisk(64)
-	b := NewBuffer(d, 4)
-	if b.DecodeCaching() {
-		t.Fatal("new buffer ignored the package default")
-	}
-	if f := b.Fork(4); f.DecodeCaching() {
-		t.Fatal("fork did not inherit the decode-caching switch")
-	}
-	SetDecodeCacheDefault(true)
-	if !NewBuffer(d, 4).DecodeCaching() {
-		t.Fatal("restored default not picked up")
+// TestReadDecodedMatchesRead pins the decoded slot's invisibility to I/O
+// accounting: one random read/write trace runs through Read on one buffer
+// and through ReadDecoded+SetDecoded on an identical buffer, and after
+// every step both must hold the same counters (decode counters aside) and
+// the same resident pages. Read never touches a decoded slot, so it is the
+// reference the slot-carrying path must reproduce exactly; the trace also
+// checks that every decoded value served describes the current page bytes.
+func TestReadDecodedMatchesRead(t *testing.T) {
+	const pages = 12
+	for _, capacity := range []int{0, 1, 3, 8} {
+		plain, ids := newTestBuf(t, capacity, pages)
+		slotted, _ := newTestBuf(t, capacity, pages)
+		rng := rand.New(rand.NewSource(int64(capacity) + 1))
+		for step := 0; step < 3000; step++ {
+			id := ids[rng.Intn(pages)]
+			if rng.Intn(6) == 0 {
+				data := make([]byte, 64)
+				data[0] = byte(rng.Intn(256))
+				plain.Write(id, data)
+				slotted.Write(id, data)
+			} else {
+				want := plain.Read(id)
+				got, dec, _ := slotted.ReadDecoded(id)
+				if got[0] != want[0] {
+					t.Fatalf("capacity %d step %d: page %d bytes differ (%d vs %d)", capacity, step, id, got[0], want[0])
+				}
+				if dec == nil {
+					slotted.SetDecoded(id, got[0])
+				} else if dec != got[0] {
+					t.Fatalf("capacity %d step %d: page %d served stale decoded value %v for byte %d", capacity, step, id, dec, got[0])
+				}
+			}
+			ws, gs := plain.Stats(), slotted.Stats()
+			gs.DecodeHits, gs.DecodeMisses = 0, 0
+			if ws != gs {
+				t.Fatalf("capacity %d step %d: counters %+v via ReadDecoded, %+v via Read", capacity, step, gs, ws)
+			}
+			for _, p := range ids {
+				if plain.Contains(p) != slotted.Contains(p) {
+					t.Fatalf("capacity %d step %d: page %d resident=%v via ReadDecoded, %v via Read",
+						capacity, step, p, slotted.Contains(p), plain.Contains(p))
+				}
+			}
+		}
+		if hits := slotted.Stats().DecodeHits; (hits > 0) != (capacity > 0) {
+			t.Fatalf("capacity %d: %d decode hits", capacity, hits)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@
 // a Buffer; a buffer miss is one physical page access — the unit of the
 // paper's "page accesses" metric. The simulated disk has no latency: the
 // experiment harness can convert page counts to charged time with the
-// paper's 10 ms/page model.
+// paper's 10 ms/page model. Each resident page also carries its decoded
+// node (Buffer.ReadDecoded/SetDecoded), so a buffer hit skips re-parsing;
+// the slot is always on and moves no I/O counter or LRU position.
 //
 // # Durability
 //
@@ -18,9 +20,10 @@
 //     checksummed image — a CRC-framed header plus one CRC-framed frame
 //     per page, binding each checksum to its page ID — replaced
 //     atomically via WriteFileAtomic (tmp + fsync + rename + dir sync).
-//     OpenDiskFile restores a byte-identical Disk, so a reopened tree
-//     reads the same pages and counts the same I/O as the original;
-//     VerifyDiskFile is the read-only integrity check fsck uses.
+//     OpenDiskFile restores a byte-identical Disk after checking every
+//     checksum, so a reopened tree reads the same pages and counts the
+//     same I/O as the original. Boot and fsck both read a snapshot
+//     through it, once.
 //   - Write-ahead log (wal.go): CRC-framed, fsync-gated records with a
 //     torn-tail-tolerant open scan — the expected crash shape (a partial
 //     final frame) is repaired silently, while a mid-log checksum

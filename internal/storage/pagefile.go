@@ -143,31 +143,6 @@ func OpenDiskFile(fs FS, path string) (*Disk, error) {
 	return d, nil
 }
 
-// VerifyDiskFile validates a snapshot without materializing a Disk: the
-// header, the size, and every frame checksum. fsck's per-snapshot pass.
-func VerifyDiskFile(fs FS, path string) (pages, pageSize int, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	pageSize, count, err := readPageFileHeader(f, path)
-	if err != nil {
-		return 0, 0, err
-	}
-	if size, err := f.Size(); err == nil {
-		if want := int64(pageFileHeaderSize) + int64(count)*int64(pageFrameSize(pageSize)); size != want {
-			return 0, 0, fmt.Errorf("storage: %s: truncated or oversized page file (%d bytes, want %d for %d pages)", path, size, want, count)
-		}
-	}
-	for i := 0; i < count; i++ {
-		if _, err := readPageFrame(f, path, i, pageSize); err != nil {
-			return 0, 0, err
-		}
-	}
-	return count, pageSize, nil
-}
-
 // PageBytes returns the raw bytes of page id — the durable-equivalence
 // tests compare these byte-for-byte between a disk and its restored
 // snapshot. The slice is the live page; callers must not modify it.

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func walAppendAll(t *testing.T, fs FS, path string, recs ...[]byte) {
+func walAppendAll(t testing.TB, fs FS, path string, recs ...[]byte) {
 	t.Helper()
 	w, _, err := OpenWAL(fs, path)
 	if err != nil {
@@ -283,4 +283,80 @@ func TestWALRejectsBadRecordSize(t *testing.T) {
 	if err := w.Append(nil); err == nil {
 		t.Fatalf("Append(nil) succeeded")
 	}
+}
+
+// walImage returns the bytes of a fresh log holding recs.
+func walImage(t testing.TB, recs ...[]byte) []byte {
+	t.Helper()
+	fs := NewFaultFS()
+	walAppendAll(t, fs, "wal", recs...)
+	img, err := ReadFileAll(fs, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// FuzzScanWAL: whatever bytes wal.log holds, the read-only scan (fsck's)
+// and the open-time scan (boot's) report the same findings; the records
+// they keep re-frame to exactly the prefix the open keeps; a reopened log
+// drops nothing; and an append after open reads back as one more record.
+func FuzzScanWAL(f *testing.F) {
+	// The damaged logs of the table tests above.
+	abc := walImage(f, []byte("alpha"), []byte("beta"), []byte("gamma"))
+	alpha := walImage(f, []byte("alpha"))
+	var oversized [walFrameHeader]byte
+	binary.LittleEndian.PutUint32(oversized[0:4], uint32(maxWALRecord+1))
+	midCRC := bytes.Clone(abc)
+	midCRC[13+8] ^= 0xFF
+	f.Add(abc[:len(abc)-2])                                // TestWALTornTail
+	f.Add(append(bytes.Clone(alpha), 9, 0, 0))             // TestWALTornHeader
+	f.Add(midCRC)                                          // TestWALCorruptCRCMidLog
+	f.Add(append(bytes.Clone(alpha), make([]byte, 16)...)) // TestWALZeroLengthFrame
+	f.Add(append(bytes.Clone(alpha), oversized[:]...))     // TestWALImplausibleLength
+	f.Fuzz(func(t *testing.T, log []byte) {
+		fs := NewFaultFS()
+		if err := WriteFileAtomic(fs, "wal.log", log); err != nil {
+			t.Fatal(err)
+		}
+		scan, err := ScanWAL(fs, "wal.log")
+		if err != nil {
+			t.Fatalf("ScanWAL: %v", err)
+		}
+		w, open, err := OpenWAL(fs, "wal.log")
+		if err != nil {
+			t.Fatalf("OpenWAL: %v", err)
+		}
+		if len(scan.Records) != len(open.Records) || scan.CorruptRecords != open.CorruptRecords ||
+			scan.TornTail != open.TornTail || scan.DroppedBytes != open.DroppedBytes {
+			t.Fatalf("ScanWAL found %d records, %d corrupt, torn %v, %d dropped; OpenWAL %d, %d, %v, %d",
+				len(scan.Records), scan.CorruptRecords, scan.TornTail, scan.DroppedBytes,
+				len(open.Records), open.CorruptRecords, open.TornTail, open.DroppedBytes)
+		}
+		for i := range open.Records {
+			if !bytes.Equal(scan.Records[i], open.Records[i]) {
+				t.Fatalf("record %d differs between ScanWAL and OpenWAL", i)
+			}
+		}
+		kept := int64(len(log)) - open.DroppedBytes
+		if w.Size() != kept {
+			t.Fatalf("open log size %d, want the %d-byte kept prefix", w.Size(), kept)
+		}
+		if len(open.Records) > 0 && !bytes.Equal(walImage(t, open.Records...), log[:kept]) {
+			t.Fatal("re-framing the kept records does not reproduce the kept prefix")
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		if again := walRecords(t, fs, "wal.log"); again.DroppedBytes != 0 || len(again.Records) != len(open.Records) {
+			t.Fatalf("reopen after repair dropped %d bytes, kept %d of %d records", again.DroppedBytes, len(again.Records), len(open.Records))
+		}
+		walAppendAll(t, fs, "wal.log", []byte("next"))
+		after := walRecords(t, fs, "wal.log")
+		if after.DroppedBytes != 0 || len(after.Records) != len(open.Records)+1 || string(after.Records[len(open.Records)]) != "next" {
+			t.Fatalf("append after open: %d records (want %d ending in \"next\"), %d bytes dropped",
+				len(after.Records), len(open.Records)+1, after.DroppedBytes)
+		}
+	})
 }
