@@ -1,5 +1,5 @@
 # Developer entry points; CI (.github/workflows/ci.yml) runs the steps of
-# `make check` plus `make bench-smoke` and `make smoke-server`.
+# `make check` plus `make bench-smoke`.
 
 GO ?= go
 
@@ -29,17 +29,20 @@ race:
 
 # Ten seconds of coverage-guided fuzzing per target over the bytes the
 # service takes from outside: CSV ingest bodies, the WAL and snapshot page
-# files. Every `go test` run replays each target's seed corpus; this
-# searches past it. Minimizing a new input may take 1s at most — the
-# default (60s) spends a whole window shrinking the first 3 KB snapshot.
-# A failing input lands in the package's testdata/fuzz as a regression
-# seed to commit.
+# files, and the join and mutation requests through the HTTP handlers
+# (never a 5xx, so never a panic). Every `go test` run replays each
+# target's seed corpus; this searches past it. Minimizing a new input may
+# take 1s at most — the default (60s) spends a whole window shrinking the
+# first 3 KB snapshot. A failing input lands in the package's
+# testdata/fuzz as a regression seed to commit.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset
 	$(GO) test -run xxx -fuzz '^FuzzScanWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/storage
 	$(GO) test -run xxx -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzJoinRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzMutationRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 
-check: build vet race fuzz crash-smoke bench-module-smoke
+check: build vet race fuzz crash-smoke smoke-server bench-module-smoke
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx ./...
@@ -76,7 +79,7 @@ serve:
 	$(GO) run ./cmd/cijserver -addr :8080 -preload "demo_p=uniform:20000,demo_q=clustered:20000"
 
 # End-to-end server smoke: start cijserver, ingest, join, stream, assert.
-# CI runs this on every push.
+# Part of `make check`; CI runs it on every push.
 smoke-server:
 	./scripts/smoke_server.sh
 

@@ -1,8 +1,9 @@
 // Command cijserver serves common-influence joins over HTTP: named
-// versioned datasets, planned execution (serial NM/PM/FM or the
-// partitioned parallel engine), a versioned LRU result cache, progressive
-// NDJSON streaming and an observability surface (Prometheus-style
-// /metrics, structured JSON logs, per-query phase traces, optional pprof).
+// versioned datasets, planned execution (the in-memory grid, serial NM or
+// the partitioned parallel engine), a versioned LRU result cache,
+// progressive NDJSON streaming and an observability surface
+// (Prometheus-style /metrics, structured JSON logs, per-query phase
+// traces, optional pprof).
 // See internal/service for the architecture and the README "Serving CIJ"
 // and "Observability" sections for curl examples.
 //
@@ -55,9 +56,8 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		debug    = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 
-		journal        = flag.String("journal", "", "append every query observation as a JSON line to this file (the planner-training corpus)")
-		journalEntries = flag.Int("journal-entries", 0, "query-journal ring capacity (0 = default 512, -1 = journal disabled)")
-		historyEvery   = flag.Duration("history-interval", 5*time.Second, "metrics-history sampling interval for /stats/history (0 = off)")
+		journal      = flag.String("journal", "", "append every query observation as a JSON line to this file (the planner-training corpus)")
+		historyEvery = flag.Duration("history-interval", 5*time.Second, "metrics-history sampling interval for /stats/history (0 = off)")
 
 		dataDir       = flag.String("data-dir", "", "durable data directory: datasets and mutations survive restarts (empty = in-memory only)")
 		checkpointWAL = flag.Int64("checkpoint-wal-bytes", 0, "fold the WAL into snapshots once it exceeds this many bytes (0 = default 4 MiB)")
@@ -77,15 +77,10 @@ func main() {
 		MaxConcurrent:      *admit,
 		Logger:             logger,
 		SlowQuery:          *slow,
-		JournalEntries:     *journalEntries,
 		DataDir:            *dataDir,
 		CheckpointWALBytes: *checkpointWAL,
 	}
 	if *journal != "" {
-		if *journalEntries < 0 {
-			fmt.Fprintf(os.Stderr, "cijserver: -journal needs the journal enabled (-journal-entries >= 0)\n")
-			os.Exit(2)
-		}
 		sink, err := os.OpenFile(*journal, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cijserver: -journal: %v\n", err)

@@ -99,7 +99,7 @@ func livePoints(d *service.Dataset) map[int64]geom.Point {
 // exact live-point table a correct recovery of that version must serve.
 func referenceStates(t *testing.T) map[string]map[int64]geom.Point {
 	t.Helper()
-	s := service.New(service.Config{JournalEntries: -1})
+	s := service.New(service.Config{})
 	ref := make(map[string]map[int64]geom.Point)
 	for _, step := range crashWorkload() {
 		ack, err := step.apply(s)
@@ -116,7 +116,7 @@ func referenceStates(t *testing.T) map[string]map[int64]geom.Point {
 }
 
 func durableCrashConfig(fs storage.FS) service.Config {
-	return service.Config{DataDir: "data", FS: fs, JournalEntries: -1}
+	return service.Config{DataDir: "data", FS: fs}
 }
 
 // runWorkload drives the steps until one fails (the injected crash) and

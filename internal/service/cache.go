@@ -32,15 +32,14 @@ type cachedResult struct {
 	Pairs []core.Pair
 	Count int64
 	// IO is the physical and logical I/O aggregate of the run, summed over
-	// every buffer the request touched (both per-dataset views, or the
-	// shared scratch environment of the materializing algorithms). It
-	// feeds the response stats and the /metrics families (which /stats
-	// reads), so all three layers reconcile by construction.
+	// every buffer the request touched (both per-dataset views and any
+	// worker forks). It feeds the response stats and the /metrics families
+	// (which /stats reads), so all three layers reconcile by construction.
 	IO  storage.Stats
 	CPU time.Duration
-	// Trace holds the run's phase spans when the computation was traced
-	// (request opt-in or slow-query logging armed); nil otherwise. Cached
-	// hits replay the original run's spans.
+	// Trace holds the run's phase spans (every computed join is traced).
+	// Cache hits and single-flight followers replay the original run's
+	// spans.
 	Trace        []obs.Span
 	TraceDropped int64
 }

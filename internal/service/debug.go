@@ -31,10 +31,6 @@ type QueriesResponse struct {
 // handleDebugQueries lists recent observations. Query parameters:
 // dataset (left or right name), algo, min_ms (wall-clock floor), limit.
 func (s *Service) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	if !s.journal.Enabled() {
-		writeError(w, http.StatusNotFound, "query journal disabled (-journal-entries < 0)")
-		return
-	}
 	params := r.URL.Query()
 	f := JournalFilter{
 		Dataset: params.Get("dataset"),
@@ -72,10 +68,6 @@ func queryID(r *http.Request) (int64, bool) {
 // handleDebugQuery returns one observation record; when the query's
 // phase trace is among the retained slowest-K it is attached inline.
 func (s *Service) handleDebugQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.journal.Enabled() {
-		writeError(w, http.StatusNotFound, "query journal disabled (-journal-entries < 0)")
-		return
-	}
 	id, ok := queryID(r)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
@@ -97,10 +89,6 @@ func (s *Service) handleDebugQuery(w http.ResponseWriter, r *http.Request) {
 // slowest-K computed joins keep their spans, so most IDs 404 here even
 // while their ring record is still listable.
 func (s *Service) handleDebugQueryTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.journal.Enabled() {
-		writeError(w, http.StatusNotFound, "query journal disabled (-journal-entries < 0)")
-		return
-	}
 	id, ok := queryID(r)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))

@@ -11,14 +11,14 @@
 //     owns a private simulated disk, an LRU storage.Buffer sized as a
 //     percentage of its data pages, and an rtree.Tree bulk-loaded over
 //     that buffer at ingest time — so serving a join never pays index
-//     construction for the no-materialization algorithms. Ingesting a
-//     name again replaces the whole Dataset value and bumps a
-//     registry-scoped version counter; in-flight queries keep reading the
-//     old dataset's disk (immutable after build), new queries see the new
-//     version. Queries never touch a dataset's base buffer: each request
-//     forks a private buffer view (storage.Buffer.Fork +
-//     rtree.Tree.WithBuffer), which keeps concurrent joins lock-free on
-//     the hot path, exactly as the parallel engine's workers do.
+//     construction. Ingesting a name again replaces the whole Dataset
+//     value and bumps a registry-scoped version counter; in-flight
+//     queries keep reading the old dataset's disk (immutable after
+//     build), new queries see the new version. Queries never touch a
+//     dataset's base buffer: each request forks a private buffer view
+//     (storage.Buffer.Fork + rtree.Tree.WithBuffer), which keeps
+//     concurrent joins lock-free on the hot path, exactly as the parallel
+//     engine's workers do.
 //
 //   - Live mutation path (registry.go Mutate, mutate.go, subscribe.go):
 //     point-level inserts, moves and deletes applied as one atomic batch
@@ -28,17 +28,17 @@
 //     version they resolved — snapshot isolation, no locks on the join path;
 //     a service-level mutex serializes mutators only. Deleted points
 //     tombstone (IDs never renumber, so pair identities stay stable
-//     across versions); the point-array algorithms (grid/PM/FM) compact
-//     live points per query and remap their pairs back to original IDs.
-//     Each mutation of a subscribed dataset triggers a delta run
-//     (internal/delta): the paper's Lemma 1/2 influence bound localizes
-//     which Voronoi cells a change can affect, so the engine computes
-//     exactly which pairs appear/disappear without recomputing the join,
-//     and /join/subscribe streams that churn as NDJSON events.
+//     across versions); the grid backend, which joins point arrays,
+//     compacts live points per query and remaps its pairs back to
+//     original IDs. Each mutation of a subscribed dataset triggers a
+//     delta run (internal/delta): the paper's Lemma 1/2 influence bound
+//     localizes which Voronoi cells a change can affect, so the engine
+//     computes exactly which pairs appear/disappear without recomputing
+//     the join, and /join/subscribe streams that churn as NDJSON events.
 //
 //   - Planner/dispatcher (planner.go): maps a Query {left, right, algo,
-//     workers, topk} onto an execution plan. An explicit algo ("nm", "pm",
-//     "fm", "parallel", "grid") is honored; "auto" (or empty) routes on
+//     workers, topk} onto an execution plan. An explicit algo ("nm",
+//     "parallel", "grid") is honored; "auto" (or empty) routes on
 //     cardinality and density: the parallel partitioned engine when the
 //     joint cardinality is large enough to amortize its fan-out (sizing
 //     the worker pool from dataset cardinalities when the query does not
@@ -48,10 +48,11 @@
 //     joins. The planner narrates as it decides: each branch writes the
 //     reason for its own choice into the Explanation it returns, and a
 //     served join carries that one Explanation into ?explain=1 and the
-//     journal, so the narration cannot drift from the plan. The
-//     materializing algorithms (PM/FM) write Voronoi R-trees, so they run
-//     in a per-request scratch environment (their own disk) instead of
-//     the registry's read-only disks. A bounded admission
+//     journal, so the narration cannot drift from the plan. No plan
+//     writes a page: NM and parallel read per-request views of the
+//     registry's read-only disks, and the grid reads no pages at all.
+//     PM-CIJ and FM-CIJ, the paper's Fig. 7 baselines, are not served;
+//     cijtool join and cijbench run them. A bounded admission
 //     semaphore caps the number of joins executing at once: excess
 //     requests queue (FIFO on a channel) instead of thrashing the
 //     machine, and /stats reports the in-flight count.
@@ -105,7 +106,7 @@
 // metrics.go registers the service's metric families on an internal/obs
 // registry: per-route request counters and latency histograms, per-algo
 // join counters and latency histograms, planner decisions, the I/O
-// counter families (pages read/written, logical reads, decode hits and
+// counter families (pages read, logical reads, decode hits and
 // misses, buffer evictions via storage.Buffer.SetOnEvict on per-request
 // views), admission-queue wait/depth, and func-backed cache/registry
 // gauges. The I/O families are fed from the same storage.Stats aggregate
@@ -113,10 +114,12 @@
 // exactly. The registry is the only owner of the service's counts: GET
 // /stats sums its families instead of keeping counters of its own.
 // POST /join?explain=1 returns the planner's decision (plan,
-// reason, inputs) without executing; JoinRequest.Trace / &trace=1 attach
-// the per-phase obs.Trace spans to the response (or as a "trace" NDJSON
-// line); Config.SlowQuery arms a slow-query log that dumps the full phase
-// trace of any join over the threshold through Config.Logger (log/slog).
+// reason, inputs) without executing. Every computed join is traced;
+// JoinRequest.Trace / &trace=1 attach its per-phase obs.Trace spans to
+// the response (or as a "trace" NDJSON line), including when the answer
+// comes from the cache or from another request's in-flight computation.
+// Config.SlowQuery arms a slow-query log that dumps the full phase trace
+// of any join over the threshold through Config.Logger (log/slog).
 //
 // # Query journal: the observation record as a training contract
 //
@@ -146,9 +149,8 @@
 // record (traces included) to a JSONL file, and ReadJournal replays it.
 // Explain attaches Journal.Observed — the aggregate over matching past
 // observations — next to the model's reasoning, so the modeled-vs-
-// observed gap is visible per plan before any learning exists.
-// Config.JournalEntries < 0 disables the subsystem entirely (a nil
-// *Journal no-ops), restoring the untraced hot path.
+// observed gap is visible per plan before any learning exists. The
+// journal is always on: every service keeps a DefaultJournalEntries ring.
 //
 // # Durability
 //

@@ -25,7 +25,8 @@ type JoinStatsJSON struct {
 	PageAccesses int64 `json:"page_accesses"`
 	// The I/O breakdown behind PageAccesses: physical reads and writes,
 	// node accesses (buffer hits included), and the decoded-node cache's
-	// hit/miss split. Omitted when zero (grid runs, cache hits).
+	// hit/miss split. Omitted when zero (grid runs, cache hits). Only
+	// `cijtool join -algo pm|fm` writes pages; served plans read.
 	PagesRead    int64 `json:"pages_read,omitempty"`
 	PagesWritten int64 `json:"pages_written,omitempty"`
 	LogicalReads int64 `json:"logical_reads,omitempty"`
@@ -157,9 +158,8 @@ func (o *Outcome) statsJSON() JoinStatsJSON {
 }
 
 // response builds the JoinResponse for one dispatcher outcome. withTrace
-// attaches the recorded phase spans (when the run was traced; requests
-// that did not opt in leave the block off even if the slow-query log
-// forced a trace).
+// attaches the recorded phase spans; every computed join records them,
+// but requests that did not opt in leave the block off.
 func (o *Outcome) response(topK int, withTrace bool) JoinResponse {
 	resp := NewJoinResponse(o.Left.Name, o.Right.Name, o.Plan.Algo, o.Plan.Workers,
 		o.Result.Pairs, o.Result.IO, o.Result.CPU, topK)
@@ -301,10 +301,9 @@ type StreamClosed struct {
 }
 
 // MutationRequest is the body of POST /datasets/{name}/points: point
-// inserts ("points" is shorthand for "insert"), moves and deletes,
-// applied as one atomic batch producing one new dataset version.
+// inserts, moves and deletes, applied as one atomic batch producing one
+// new dataset version.
 type MutationRequest struct {
-	Points []PointJSON     `json:"points,omitempty"`
 	Insert []PointJSON     `json:"insert,omitempty"`
 	Update []MovePointJSON `json:"update,omitempty"`
 	Delete []int64         `json:"delete,omitempty"`
@@ -392,8 +391,8 @@ type StatsResponse struct {
 	// JoinsComputed is the observation count of cij_join_seconds: the
 	// joins that executed an algorithm.
 	JoinsComputed int64 `json:"joins_computed"`
-	// PageAccesses is cij_pages_read_total plus cij_pages_written_total:
-	// the physical I/O of computed joins and delta runs.
+	// PageAccesses is cij_pages_read_total: the physical I/O of computed
+	// joins and delta runs, which only read.
 	PageAccesses int64 `json:"page_accesses"`
 	// DecodeHits is cij_decode_hits_total: node accesses of computed joins
 	// and delta runs that skipped page re-parsing (CPU saved, I/O
@@ -438,7 +437,7 @@ func (s *Service) StatsSnapshot() StatsResponse {
 		Ingests:       count("cij_ingests_total"),
 		JoinsServed:   count("cij_joins_total"),
 		JoinsComputed: m.HistSum("cij_join_seconds").Count,
-		PageAccesses:  count("cij_pages_read_total") + count("cij_pages_written_total"),
+		PageAccesses:  count("cij_pages_read_total"),
 		DecodeHits:    count("cij_decode_hits_total"),
 		CacheHits:     count("cij_cache_hits_total"),
 		CacheMisses:   count("cij_cache_misses_total"),

@@ -19,8 +19,8 @@ import (
 // workers, narrated reason) with what actually happened (wall time,
 // pages, logical reads, decode hits/misses, pairs emitted).
 
-// DefaultJournalEntries is the ring capacity when the configuration
-// leaves it zero; DefaultJournalSlowest the retained-trace count.
+// DefaultJournalEntries is the ring capacity of every service's journal;
+// DefaultJournalSlowest the retained-trace count.
 const (
 	DefaultJournalEntries = 512
 	DefaultJournalSlowest = 8
@@ -71,9 +71,7 @@ type retainedTrace struct {
 	dropped int64
 }
 
-// Journal is the capped observation ring. A nil *Journal is the disabled
-// journal: every method no-ops (Enabled reports false), so call sites
-// thread it without guards and the disabled path stays free.
+// Journal is the capped observation ring.
 type Journal struct {
 	mu      sync.Mutex
 	recs    []JournalRecord // ring storage
@@ -107,16 +105,10 @@ func NewJournal(entries, slowest int, sink io.Writer) *Journal {
 	return j
 }
 
-// Enabled reports whether observations are recorded. Nil-safe.
-func (j *Journal) Enabled() bool { return j != nil }
-
-// Add journals one observation. spans (nil when the run was untraced or
-// served from cache) compete for slowest-K retention; the sink line is
-// written outside the ring lock with the spans attached.
+// Add journals one observation. spans (nil for cache hits and delta runs,
+// which carry no trace of their own) compete for slowest-K retention; the
+// sink line is written outside the ring lock with the spans attached.
 func (j *Journal) Add(rec JournalRecord, spans []obs.Span, dropped int64) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	j.recs[j.next] = rec
 	j.next = (j.next + 1) % len(j.recs)
@@ -174,11 +166,8 @@ type JournalFilter struct {
 }
 
 // Recent returns matching records, newest first, plus the count ever
-// journaled. Nil-safe (empty, 0).
+// journaled.
 func (j *Journal) Recent(f JournalFilter) ([]JournalRecord, int64) {
-	if j == nil {
-		return nil, 0
-	}
 	limit := f.Limit
 	if limit <= 0 {
 		limit = 100
@@ -202,11 +191,8 @@ func (j *Journal) Recent(f JournalFilter) ([]JournalRecord, int64) {
 	return out, j.total
 }
 
-// Get returns the ring record with the given query ID. Nil-safe.
+// Get returns the ring record with the given query ID.
 func (j *Journal) Get(id int64) (JournalRecord, bool) {
-	if j == nil {
-		return JournalRecord{}, false
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i := 1; i <= j.count; i++ {
@@ -219,11 +205,8 @@ func (j *Journal) Get(id int64) (JournalRecord, bool) {
 }
 
 // TraceFor returns the retained phase spans of the given query, if it is
-// one of the slowest-K. Nil-safe.
+// one of the slowest-K.
 func (j *Journal) TraceFor(id int64) ([]obs.Span, int64, bool) {
-	if j == nil {
-		return nil, 0, false
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, rt := range j.slowest {
@@ -235,11 +218,8 @@ func (j *Journal) TraceFor(id int64) ([]obs.Span, int64, bool) {
 }
 
 // RetainedTraces lists the query IDs whose traces are retained, slowest
-// first. Nil-safe.
+// first.
 func (j *Journal) RetainedTraces() []int64 {
-	if j == nil {
-		return nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]int64, 0, len(j.slowest))
@@ -250,20 +230,13 @@ func (j *Journal) RetainedTraces() []int64 {
 }
 
 // Len reports the live record count, Total the records ever journaled.
-// Nil-safe (0).
 func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.count
 }
 
 func (j *Journal) Total() int64 {
-	if j == nil {
-		return 0
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.total
@@ -291,12 +264,9 @@ type ObservedJSON struct {
 }
 
 // Observed scans the ring for observations of the given datasets under
-// the given plan. Nil-safe (zero value).
+// the given plan.
 func (j *Journal) Observed(left string, leftVer int, right string, rightVer int, pl Plan) ObservedJSON {
 	var o ObservedJSON
-	if j == nil {
-		return o
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i := 1; i <= j.count; i++ {

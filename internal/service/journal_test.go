@@ -88,8 +88,8 @@ func TestJournalSlowestRetention(t *testing.T) {
 	cached := mkRec(4, "d", "nm", 99)
 	cached.Cached = true
 	j.Add(cached, nil, 0) // cache hit: no spans, no retention
-	untraced := mkRec(5, "d", "nm", 99)
-	j.Add(untraced, nil, 0) // untraced: nothing to retain
+	delta := mkRec(5, "d", "delta", 99)
+	j.Add(delta, nil, 0) // delta run: no spans, nothing to retain
 
 	if got := j.RetainedTraces(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("RetainedTraces = %v, want [2 3] (slowest first)", got)
@@ -143,7 +143,6 @@ func TestJournalStatsReconcile(t *testing.T) {
 	delta := func(family string) int64 { return int64(after[family] - before[family]) }
 	for family, want := range map[string]int64{
 		"cij_pages_read_total":    rec.Stats.PagesRead,
-		"cij_pages_written_total": rec.Stats.PagesWritten,
 		"cij_logical_reads_total": rec.Stats.LogicalReads,
 		"cij_decode_hits_total":   rec.Stats.DecodeHits,
 		"cij_decode_misses_total": rec.Stats.DecodeMisses,
@@ -369,30 +368,6 @@ func TestDebugQueriesEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
-		}
-	}
-}
-
-// TestJournalDisabled: JournalEntries < 0 turns the subsystem off — the
-// endpoints 404, joins still serve, and nothing is recorded.
-func TestJournalDisabled(t *testing.T) {
-	p, q := dataset.Uniform(200, 111), dataset.Uniform(200, 112)
-	svc, ts := newTestServer(t, service.Config{JournalEntries: -1}, p, q)
-	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid"})
-	if jr.Count == 0 {
-		t.Fatal("join failed with journal disabled")
-	}
-	if svc.Journal() != nil {
-		t.Fatal("Journal() non-nil with JournalEntries = -1")
-	}
-	for _, path := range []string{"/debug/queries", "/debug/queries/1", "/debug/queries/1/trace.json"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s with journal disabled: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -30,7 +30,6 @@ type serviceMetrics struct {
 	slowQueries    *obs.Counter
 	logicalReads   *obs.Counter
 	pagesRead      *obs.Counter
-	pagesWritten   *obs.Counter
 	decodeHits     *obs.Counter
 	decodeMisses   *obs.Counter
 	flatReads      *obs.Counter // cij_flat_reads_total
@@ -85,8 +84,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Node accesses (buffer hits included) summed over computed joins."),
 		pagesRead: reg.Counter("cij_pages_read_total",
 			"Physical page reads summed over computed joins."),
-		pagesWritten: reg.Counter("cij_pages_written_total",
-			"Physical page writes summed over computed joins."),
 		decodeHits: reg.Counter("cij_decode_hits_total",
 			"Decoded-node cache hits summed over computed joins."),
 		decodeMisses: reg.Counter("cij_decode_misses_total",
@@ -162,14 +159,15 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 
 // recordJoinIO folds one computed join's I/O aggregate into the exported
 // counters — the same storage.Stats the response reports, so the /metrics
-// deltas reconcile with per-query stats exactly. A flat-storage run's
-// node accesses additionally feed cij_flat_reads_total; its page and
-// decode-miss counters are structurally zero, so the shared families stay
-// truthful in both modes.
+// deltas reconcile with per-query stats exactly. Served joins and delta
+// runs only read (the registry's disks are read-only after build), so
+// page writes have no family. A flat-storage run's node accesses
+// additionally feed cij_flat_reads_total; its page and decode-miss
+// counters are structurally zero, so the shared families stay truthful in
+// both modes.
 func (m *serviceMetrics) recordJoinIO(io storage.Stats, storageMode string) {
 	m.logicalReads.Add(io.LogicalReads)
 	m.pagesRead.Add(io.PageReads)
-	m.pagesWritten.Add(io.PageWrites)
 	m.decodeHits.Add(io.DecodeHits)
 	m.decodeMisses.Add(io.DecodeMisses)
 	if storageMode == "flat" {
@@ -177,9 +175,9 @@ func (m *serviceMetrics) recordJoinIO(io storage.Stats, storageMode string) {
 	}
 }
 
-// onEvict is the buffer eviction hook installed on per-request views and
-// scratch environments. Worker forks inherit it (storage.Buffer.Fork), so
-// it runs concurrently; obs.Counter is atomic.
+// onEvict is the buffer eviction hook installed on per-request views.
+// Worker forks inherit it (storage.Buffer.Fork), so it runs concurrently;
+// obs.Counter is atomic.
 func (m *serviceMetrics) onEvict(storage.PageID, any) { m.evictions.Inc() }
 
 // statusWriter captures the response status for request metrics/logs. It

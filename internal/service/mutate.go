@@ -27,12 +27,9 @@ const maxMutationBodyBytes = 8 << 20
 // version it resolved, which the COW snapshot keeps byte-stable.
 func (s *Service) MutatePoints(name string, req MutationRequest) (*MutationResponse, error) {
 	spec := MutationSpec{
-		Insert: make([]geom.Point, 0, len(req.Points)+len(req.Insert)),
+		Insert: make([]geom.Point, 0, len(req.Insert)),
 		Update: make([]PointMove, 0, len(req.Update)),
 		Delete: req.Delete,
-	}
-	for _, p := range req.Points {
-		spec.Insert = append(spec.Insert, geom.Pt(p.X, p.Y))
 	}
 	for _, p := range req.Insert {
 		spec.Insert = append(spec.Insert, geom.Pt(p.X, p.Y))
@@ -141,11 +138,14 @@ func mutationErrorStatus(err error) int {
 }
 
 // handleMutatePoints is POST /datasets/{name}/points: one atomic batch
-// of inserts ("points" or "insert"), moves ("update") and deletes
-// ("delete").
+// of inserts ("insert"), moves ("update") and deletes ("delete"). Any
+// other field is a 400 naming it, so a misspelled part of a batch is
+// refused instead of silently applying the rest.
 func (s *Service) handleMutatePoints(w http.ResponseWriter, r *http.Request) {
 	var req MutationRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutationBodyBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutationBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, bodyErrorStatus(err), "bad mutation request: %v", err)
 		return
 	}

@@ -66,13 +66,14 @@ func sumTrace(tr *service.TraceJSON) obs.Counters {
 }
 
 // TestTraceSumsToResponseStats is the acceptance criterion end to end: for
-// every algorithm, the per-phase I/O deltas in the response's trace block
-// sum exactly to the aggregate Stats of the same response.
+// every served algorithm, the per-phase I/O deltas in the response's trace
+// block sum exactly to the aggregate Stats of the same response, and no
+// plan writes a page.
 func TestTraceSumsToResponseStats(t *testing.T) {
 	p, q := dataset.Uniform(800, 101), dataset.Clustered(800, 8, 102)
 	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
 
-	for _, algo := range []string{"nm", "pm", "fm", "parallel", "grid"} {
+	for _, algo := range []string{"nm", "parallel", "grid"} {
 		// Pin the tree algorithms to paged storage: this test asserts the
 		// paper's page-I/O accounting, which flat (auto's pick) zeroes out.
 		storage := "paged"
@@ -85,11 +86,13 @@ func TestTraceSumsToResponseStats(t *testing.T) {
 		}
 		total := sumTrace(jr.Trace)
 		if total.PagesRead != jr.Stats.PagesRead ||
-			total.PagesWritten != jr.Stats.PagesWritten ||
 			total.LogicalReads != jr.Stats.LogicalReads ||
 			total.DecodeHits != jr.Stats.DecodeHits ||
 			total.DecodeMisses != jr.Stats.DecodeMisses {
 			t.Fatalf("%s: trace totals %+v do not reconcile with response stats %+v", algo, total, jr.Stats)
+		}
+		if total.PagesWritten != 0 || jr.Stats.PagesWritten != 0 {
+			t.Fatalf("%s wrote pages (trace %d, stats %d); served plans only read", algo, total.PagesWritten, jr.Stats.PagesWritten)
 		}
 		if algo == "grid" && jr.Stats.PageAccesses != 0 {
 			t.Fatalf("grid reported %d page accesses", jr.Stats.PageAccesses)
@@ -130,31 +133,48 @@ func TestTraceSumsToResponseStatsFlat(t *testing.T) {
 }
 
 // TestTraceOnlyWhenRequested: an untraced request gets no trace block,
-// even though the computation may have been traced for the slow-query log.
+// even though every computed join is traced for the journal.
 func TestTraceOnlyWhenRequested(t *testing.T) {
 	p, q := dataset.Uniform(300, 111), dataset.Uniform(300, 112)
-	_, ts := newTestServer(t, service.Config{SlowQuery: time.Hour}, p, q)
+	_, ts := newTestServer(t, service.Config{}, p, q)
 	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
 	if jr.Trace != nil {
 		t.Fatal("untraced request returned a trace block")
 	}
 }
 
-// TestTraceCachedReplay: a cache hit replays the original traced run's
-// spans (and still reports zero I/O in the aggregate stats).
+// TestTraceCachedReplay: the trace flag only shapes the response. An
+// untraced join followed by the same join with trace: true is a cache hit
+// that replays the computed run's spans — the same phases and counters a
+// traced run of that join records — and still reports zero I/O in the
+// aggregate stats.
 func TestTraceCachedReplay(t *testing.T) {
 	p, q := dataset.Uniform(300, 121), dataset.Uniform(300, 122)
 	_, ts := newTestServer(t, service.Config{}, p, q)
-	first := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Trace: true})
-	second := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Trace: true})
-	if !second.Cached {
+	req := service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Storage: "paged"}
+	postJoin(t, ts, req)
+	req.Trace = true
+	hit := postJoin(t, ts, req)
+	if !hit.Cached {
 		t.Fatal("second identical join not cached")
 	}
-	if second.Trace == nil || len(second.Trace.Spans) != len(first.Trace.Spans) {
-		t.Fatalf("cached replay trace %+v does not match original %+v", second.Trace, first.Trace)
+	if hit.Trace == nil {
+		t.Fatal("traced cache hit carries no trace block")
 	}
-	if second.Stats.PageAccesses != 0 || second.Stats.PagesRead != 0 {
-		t.Fatalf("cached join reported I/O: %+v", second.Stats)
+	if hit.Stats.PageAccesses != 0 || hit.Stats.PagesRead != 0 {
+		t.Fatalf("cached join reported I/O: %+v", hit.Stats)
+	}
+
+	_, fresh := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	want := postJoin(t, fresh, req).Trace
+	if want == nil || len(hit.Trace.Spans) != len(want.Spans) {
+		t.Fatalf("cached trace has %d spans, a traced run %+v", len(hit.Trace.Spans), want)
+	}
+	for i, sp := range hit.Trace.Spans {
+		w := want.Spans[i]
+		if sp.Phase != w.Phase || sp.Tag != w.Tag || sp.Counters != w.Counters {
+			t.Fatalf("span %d = %s/%s %+v, a traced run has %s/%s %+v", i, sp.Phase, sp.Tag, sp.Counters, w.Phase, w.Tag, w.Counters)
+		}
 	}
 }
 
@@ -292,7 +312,7 @@ func TestMetricsMatchFlatJoin(t *testing.T) {
 	if got := delta(`cij_decode_hits_total`); got != jr.Stats.LogicalReads {
 		t.Fatalf("cij_decode_hits_total moved %d, want every flat read a hit (%d)", got, jr.Stats.LogicalReads)
 	}
-	for _, family := range []string{`cij_pages_read_total`, `cij_pages_written_total`, `cij_decode_misses_total`, `cij_buffer_evictions_total`} {
+	for _, family := range []string{`cij_pages_read_total`, `cij_decode_misses_total`, `cij_buffer_evictions_total`} {
 		if got := delta(family); got != 0 {
 			t.Fatalf("flat join moved %s by %d, want 0", family, got)
 		}
@@ -379,7 +399,7 @@ func TestMetricsFuncFamilies(t *testing.T) {
 		{"ingests", st.Ingests, []string{"cij_ingests_total"}, 3},
 		{"joins_served", st.JoinsServed, []string{"cij_joins_total"}, 3},
 		{"joins_computed", st.JoinsComputed, []string{"cij_join_seconds_count"}, 2},
-		{"page_accesses", st.PageAccesses, []string{"cij_pages_read_total", "cij_pages_written_total"}, -1},
+		{"page_accesses", st.PageAccesses, []string{"cij_pages_read_total"}, -1},
 		{"decode_hits", st.DecodeHits, []string{"cij_decode_hits_total"}, -1},
 		{"cache_hits", st.CacheHits, []string{"cij_cache_hits_total"}, 1},
 		{"cache_misses", st.CacheMisses, []string{"cij_cache_misses_total"}, 2},

@@ -20,7 +20,7 @@ import (
 // durableConfig is the test configuration for a durable service over an
 // injected filesystem.
 func durableConfig(fsys storage.FS) Config {
-	return Config{DataDir: "data", FS: fsys, JournalEntries: -1}
+	return Config{DataDir: "data", FS: fsys}
 }
 
 func mustOpen(t *testing.T, fsys storage.FS) *Service {
@@ -292,7 +292,7 @@ func TestDurableMatchesSimulated(t *testing.T) {
 		mustMutate(t, s, "p", MutationRequest{Insert: []PointJSON{{X: 9, Y: 9}}})
 		mustMutate(t, s, "q", MutationRequest{Delete: []int64{1, 2, 3}})
 	}
-	plain := New(Config{JournalEntries: -1})
+	plain := New(Config{})
 	drive(plain)
 	fs := storage.NewFaultFS()
 	durable := mustOpen(t, fs)
@@ -519,7 +519,7 @@ func writeSnapshotDir(t testing.TB, fs storage.FS, pages []byte, meta rtree.Meta
 // live count is the tree's size, and whose every live point sits in its
 // own slot.
 func FuzzRestoreSnapshot(f *testing.F) {
-	good := loadTrees(dataset.Uniform(120, 5))[0]
+	good := loadTree(dataset.Uniform(120, 5))
 	disk := good.Buffer().Disk()
 	var img []byte
 	for i := 0; i < disk.NumPages(); i++ {

@@ -7,11 +7,9 @@ import (
 
 	"cij/internal/core"
 	"cij/internal/dataset"
-	"cij/internal/geom"
 	"cij/internal/grid"
 	"cij/internal/obs"
 	"cij/internal/parallel"
-	"cij/internal/rtree"
 	"cij/internal/storage"
 )
 
@@ -41,8 +39,7 @@ const autoGridSkewMax = 32
 
 // Plan is a resolved execution strategy for one join query.
 type Plan struct {
-	// Algo is the concrete algorithm: "nm", "pm", "fm", "parallel" or
-	// "grid".
+	// Algo is the concrete algorithm: "nm", "parallel" or "grid".
 	Algo string `json:"algo"`
 	// Workers is the pool size when Algo is "parallel", 0 otherwise.
 	Workers int `json:"workers,omitempty"`
@@ -98,7 +95,7 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 			reason = fmt.Sprintf("serial-range join too skewed for the grid (skew %.1f and %.1f vs gate %d) falls back to NM-CIJ",
 				left.Skew, right.Skew, autoGridSkewMax)
 		}
-	case "nm", "pm", "fm", "grid", "parallel":
+	case "nm", "grid", "parallel":
 		pl = Plan{Algo: q.Algo}
 		reason = fmt.Sprintf("algorithm %q requested explicitly", q.Algo)
 		if q.Algo == "parallel" {
@@ -111,29 +108,22 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 			}
 		}
 	default:
-		return Explanation{}, fmt.Errorf("unknown algo %q (want nm, pm, fm, parallel, grid or auto)", q.Algo)
+		return Explanation{}, fmt.Errorf("unknown algo %q (want nm, parallel, grid or auto)", q.Algo)
 	}
 
 	// The storage decision. The grid backend indexes nothing and carries
-	// no storage; PM/FM materialize Voronoi R-trees page by page, so they
-	// are pinned to paged; NM and parallel read either representation.
+	// no storage; NM and parallel read either representation.
 	switch {
 	case pl.Algo == "grid":
 		if explicitStorage {
 			return Explanation{}, fmt.Errorf("storage %q does not apply to the grid backend (it joins raw pointsets, no tree)", stor)
 		}
 	case stor == "flat":
-		if pl.Algo == "pm" || pl.Algo == "fm" {
-			return Explanation{}, fmt.Errorf("algo %q materializes Voronoi R-trees page by page and cannot run on flat storage", pl.Algo)
-		}
 		pl.Storage = "flat"
 		reason += "; flat storage requested explicitly (arena nodes, zero page I/O)"
 	case stor == "paged":
 		pl.Storage = "paged"
 		reason += "; paged storage requested explicitly (the paper's LRU-buffered disk format)"
-	case pl.Algo == "pm" || pl.Algo == "fm":
-		pl.Storage = "paged"
-		reason += "; paged storage (this algorithm materializes R-trees page by page)"
 	default:
 		// Every registered dataset lives in memory and carries a frozen
 		// flat tree, so auto picks the decode-free representation;
@@ -183,49 +173,39 @@ func clampWorkers(w int) int {
 	return w
 }
 
-// execHooks are the streaming callbacks and per-request options of one
-// join execution. The callbacks run on the executing goroutine (the
-// request handler's), mirroring the contract of core.Options.OnPair /
-// parallel.Options.OnPair+OnProgress.
+// execHooks are the streaming callbacks of one join execution. They run
+// on the executing goroutine (the request handler's), mirroring the
+// contract of core.Options.OnPair / parallel.Options.OnPair+OnProgress.
 type execHooks struct {
 	onPair     func(core.Pair)
 	onProgress func(core.ProgressPoint)
-	// trace requests a per-phase trace of the computation even when the
-	// slow-query log (which traces unconditionally) is off.
-	trace bool
 }
 
 // execute runs the planned join and returns the full result with its cost.
 // NM and parallel runs read the registry trees through per-request buffer
-// views; the materializing algorithms (PM/FM) write Voronoi R-trees, so
-// they get a private scratch environment — the registry's dataset disks
-// stay strictly read-only after build, which is what makes concurrent
-// queries safe. tr (nil = untraced) is threaded into the engine so its
-// spans cover every phase; the eviction metric hook rides the same
+// views and the grid reads the raw point arrays, so no plan writes a page:
+// the registry's dataset disks stay strictly read-only after build, which
+// is what makes concurrent queries safe. tr is threaded into the engine so
+// its spans cover every phase; the eviction metric hook rides the same
 // per-request buffers (worker forks inherit it).
 func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *obs.Trace) *cachedResult {
 	start := time.Now()
 	var res core.Result
 	var io storage.Stats
-	// The point-array backends (grid, PM, FM) consume dense slices whose
-	// positions double as IDs, so mutated datasets hand them the live
-	// compaction and the emitted pairs are remapped back to original IDs
-	// — the tree algorithms need neither (registry trees index live
-	// points under their original IDs already). For never-deleted
-	// datasets JoinPoints returns nil id tables and the remap is free.
-	var leftPts, rightPts []geom.Point
-	var leftIDs, rightIDs []int64
-	if pointArrayAlgo(pl.Algo) {
-		leftPts, leftIDs = left.JoinPoints()
-		rightPts, rightIDs = right.JoinPoints()
-		hooks.onPair = remapOnPair(hooks.onPair, pl.Algo, leftIDs, rightIDs)
-	}
 	switch pl.Algo {
 	case "grid":
 		// The in-memory backend joins the raw pointsets: no tree view, no
-		// buffer fork, no pages — its physical I/O is genuinely zero.
+		// buffer fork, no pages — its physical I/O is genuinely zero. It
+		// consumes dense slices whose positions double as IDs, so mutated
+		// datasets hand it the live compaction and the emitted pairs are
+		// remapped back to original IDs — the tree algorithms need neither
+		// (registry trees index live points under their original IDs
+		// already). For never-deleted datasets JoinPoints returns nil id
+		// tables and the remap is free.
+		leftPts, leftIDs := left.JoinPoints()
+		rightPts, rightIDs := right.JoinPoints()
 		opts := grid.DefaultOptions()
-		opts.OnPair = hooks.onPair
+		opts.OnPair = remapOnPair(hooks.onPair, leftIDs, rightIDs)
 		opts.Trace = tr
 		res = grid.Join(leftPts, rightPts, dataset.Domain, opts)
 		remapPairs(res.Pairs, leftIDs, rightIDs)
@@ -253,19 +233,6 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 		opts.Trace = tr
 		res = parallel.Join(rp, rq, dataset.Domain, opts)
 		io = res.Stats.Mat.Add(res.Stats.Join) // partition traversal + all worker forks
-	case "pm", "fm":
-		rp, rq := buildScratchEnv(leftPts, rightPts, s.cfg.BufferPct)
-		rp.Buffer().SetOnEvict(s.metrics.onEvict) // one shared scratch buffer
-		opts := core.DefaultOptions()
-		opts.OnPair = hooks.onPair
-		opts.Trace = tr
-		if pl.Algo == "pm" {
-			res = core.PMCIJ(rp, rq, dataset.Domain, opts)
-		} else {
-			res = core.FMCIJ(rp, rq, dataset.Domain, opts)
-		}
-		io = res.Stats.Mat.Add(res.Stats.Join) // MAT + JOIN on the shared scratch buffer
-		remapPairs(res.Pairs, leftIDs, rightIDs)
 	default:
 		panic("service: unplanned algo " + pl.Algo)
 	}
@@ -279,17 +246,11 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 	}
 }
 
-// pointArrayAlgo reports whether the algorithm consumes raw point
-// slices (positions double as IDs) rather than registry trees.
-func pointArrayAlgo(algo string) bool {
-	return algo == "grid" || algo == "pm" || algo == "fm"
-}
-
-// remapOnPair wraps a streaming pair callback so point-array runs over
-// compacted live slices emit original point IDs. Tree runs and dense
-// datasets pass through untouched.
-func remapOnPair(onPair func(core.Pair), algo string, leftIDs, rightIDs []int64) func(core.Pair) {
-	if onPair == nil || !pointArrayAlgo(algo) || (leftIDs == nil && rightIDs == nil) {
+// remapOnPair wraps a streaming pair callback so grid runs over compacted
+// live slices emit original point IDs. Dense datasets pass through
+// untouched.
+func remapOnPair(onPair func(core.Pair), leftIDs, rightIDs []int64) func(core.Pair) {
+	if onPair == nil || (leftIDs == nil && rightIDs == nil) {
 		return onPair
 	}
 	return func(p core.Pair) { onPair(remapPair(p, leftIDs, rightIDs)) }
@@ -344,7 +305,8 @@ type Explanation struct {
 	Inputs PlanInputs `json:"inputs"`
 	// Observed is the journal's aggregate over past executions of this
 	// exact plan on these exact dataset versions — the "observed" half of
-	// modeled-vs-observed. Omitted when the journal is disabled.
+	// modeled-vs-observed. Explain always sets it; served joins leave it
+	// nil.
 	Observed *ObservedJSON `json:"observed,omitempty"`
 }
 
@@ -359,20 +321,7 @@ func (s *Service) Explain(q Query) (Explanation, error) {
 	if err != nil {
 		return ex, err
 	}
-	if s.journal.Enabled() {
-		seen := s.journal.Observed(left.Name, left.Version, right.Name, right.Version, ex.Plan)
-		ex.Observed = &seen
-	}
+	seen := s.journal.Observed(left.Name, left.Version, right.Name, right.Version, ex.Plan)
+	ex.Observed = &seen
 	return ex, nil
-}
-
-// buildScratchEnv bulk-loads both pointsets onto one fresh disk behind one
-// LRU buffer sized to bufferPct% of the data pages — the single-disk
-// environment the materializing algorithms expect, built per request so
-// their page writes never touch registry state.
-func buildScratchEnv(p, q []geom.Point, bufferPct float64) (rp, rq *rtree.Tree) {
-	trees := loadTrees(p, q)
-	rp, rq = trees[0], trees[1]
-	coldBuffer(rp.Buffer(), rp.NumPages()+rq.NumPages(), bufferPct)
-	return rp, rq
 }

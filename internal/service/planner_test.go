@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,8 +65,11 @@ func TestPlanSelection(t *testing.T) {
 		}
 	}
 
-	if _, err := plan(Query{Algo: "pbsm"}, uniform(10), uniform(10)); err == nil {
-		t.Fatal("unknown algo accepted")
+	// PM and FM are Fig. 7 baselines the service does not run.
+	for _, algo := range []string{"pbsm", "pm", "fm"} {
+		if _, err := plan(Query{Algo: algo}, uniform(10), uniform(10)); err == nil {
+			t.Fatalf("unknown algo %q accepted", algo)
+		}
 	}
 
 	// With GOMAXPROCS pinned at 4, two datasets of 2·autoPointsPerWorker
@@ -163,4 +170,82 @@ func TestConcurrentAutoAndGridJoins(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// doneProbe is a context that reports the first call of its Done method.
+// Join consults ctx.Done only where it blocks — a leader queueing for
+// admission, a follower waiting on the leader's flight — so the signal
+// says the caller has reached that point.
+type doneProbe struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newDoneProbe() *doneProbe {
+	return &doneProbe{Context: context.Background(), waiting: make(chan struct{})}
+}
+
+func (c *doneProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestTracedFollowerGetsLeaderSpans: a trace: true request that joins an
+// untraced request's in-flight computation answers cached, with the
+// leader's spans as its trace block. The test holds the only admission
+// slot so the leader queues with its flight registered, and releases it
+// once the follower waits on that flight.
+func TestTracedFollowerGetsLeaderSpans(t *testing.T) {
+	svc := New(Config{CacheEntries: -1, MaxConcurrent: 1})
+	if _, err := svc.Ingest("p", dataset.Uniform(300, 141)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Ingest("q", dataset.Uniform(300, 142)); err != nil {
+		t.Fatal(err)
+	}
+	svc.admit <- struct{}{}
+
+	leaderCtx := newDoneProbe()
+	leader := make(chan *Outcome, 1)
+	go func() {
+		out, err := svc.Join(leaderCtx, Query{Left: "p", Right: "q", Algo: "nm"}, execHooks{})
+		if err != nil {
+			t.Error(err)
+		}
+		leader <- out
+	}()
+	<-leaderCtx.waiting
+
+	followerCtx := newDoneProbe()
+	req := httptest.NewRequest("POST", "/join", strings.NewReader(`{"left":"p","right":"q","algo":"nm","trace":true}`))
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		svc.Handler().ServeHTTP(rec, req.WithContext(followerCtx))
+		close(served)
+	}()
+	<-followerCtx.waiting
+	<-svc.admit
+
+	out := <-leader
+	<-served
+	if out == nil || out.Cached {
+		t.Fatalf("leader outcome %+v, want a computed result", out)
+	}
+	var resp JoinResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+		t.Fatalf("follower response (status %d): %v", rec.Code, err)
+	}
+	if !resp.Cached {
+		t.Fatal("follower did not share the leader's computation")
+	}
+	got, _ := json.Marshal(resp.Trace)
+	want, _ := json.Marshal(NewTraceJSON(out.Result.Trace, out.Result.TraceDropped))
+	if resp.Trace == nil || !bytes.Equal(got, want) {
+		t.Fatalf("follower trace %s, want the leader's %s", got, want)
+	}
+	if got := svc.StatsSnapshot().JoinsComputed; got != 1 {
+		t.Fatalf("joins computed = %d, want 1", got)
+	}
 }

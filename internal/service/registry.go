@@ -88,8 +88,8 @@ func (d *Dataset) StorageView(storage string) *rtree.Tree {
 // JoinPoints returns the live points in ID order and, when the dataset
 // carries tombstones, the original ID of each returned point. ids is nil
 // for never-deleted datasets, whose positions already are their IDs —
-// the common case, which the point-array algorithms (grid, PM, FM) then
-// consume with zero copying or remapping.
+// the common case, which the grid backend then consumes with zero copying
+// or remapping.
 func (d *Dataset) JoinPoints() (pts []geom.Point, ids []int64) {
 	if d.Alive == nil {
 		return d.Points, nil
@@ -166,7 +166,7 @@ func (r *Registry) PrepareIngest(name string, pts []geom.Point) (*Dataset, error
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("service: dataset %q has no points", name)
 	}
-	return newDataset(&Dataset{Name: name, Points: pts, Live: len(pts), Tree: loadTrees(pts)[0]}, r.bufferPct), nil
+	return newDataset(&Dataset{Name: name, Points: pts, Live: len(pts), Tree: loadTree(pts)}, r.bufferPct), nil
 }
 
 // NextVersion returns the version the next install under name will
@@ -442,9 +442,7 @@ func newDataset(d *Dataset, bufferPct float64) *Dataset {
 
 // coldBuffer sizes buf to bufferPct% of pages (at least one page) and
 // clears its contents and counters, so measurement starts cold; it
-// returns the capacity. The registry's datasets and the materializing
-// algorithms' scratch environment (buildScratchEnv) size through this
-// one formula.
+// returns the capacity.
 func coldBuffer(buf *storage.Buffer, pages int, bufferPct float64) int {
 	capPages := int(math.Ceil(float64(pages) * bufferPct / 100))
 	if capPages < 1 {
@@ -456,13 +454,9 @@ func coldBuffer(buf *storage.Buffer, pages int, bufferPct float64) int {
 	return capPages
 }
 
-// loadTrees bulk-loads each pointset into an R-tree on one fresh private
-// disk behind one build buffer; callers size it with coldBuffer.
-func loadTrees(sets ...[]geom.Point) []*rtree.Tree {
+// loadTree bulk-loads pts into an R-tree on a fresh private disk behind a
+// build buffer; newDataset sizes it with coldBuffer.
+func loadTree(pts []geom.Point) *rtree.Tree {
 	buf := storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), buildBufferPages)
-	trees := make([]*rtree.Tree, len(sets))
-	for i, pts := range sets {
-		trees[i] = rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
-	}
-	return trees
+	return rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
 }

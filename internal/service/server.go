@@ -186,7 +186,7 @@ func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ex)
 		return
 	}
-	out, err := s.Join(r.Context(), q, execHooks{trace: req.Trace})
+	out, err := s.Join(r.Context(), q, execHooks{})
 	if err != nil {
 		writeError(w, joinErrorStatus(err), "%v", err)
 		return
@@ -265,7 +265,6 @@ func (s *Service) handleJoinStream(w http.ResponseWriter, r *http.Request) {
 			flush()
 		},
 	}
-	hooks.trace = wantTrace
 	out, err := s.Join(r.Context(), q, hooks)
 	if err != nil {
 		if started {

@@ -29,15 +29,10 @@ type Config struct {
 	// Logger receives the service's structured logs (request lines, join
 	// completions, slow-query dumps); nil discards them.
 	Logger *slog.Logger
-	// SlowQuery, when > 0, arms the slow-query log: every computed join is
-	// traced, and one slower than the threshold logs its full phase trace
-	// at Warn level (and counts in cij_slow_queries_total).
+	// SlowQuery, when > 0, arms the slow-query log: a computed join slower
+	// than the threshold logs its full phase trace at Warn level (and
+	// counts in cij_slow_queries_total).
 	SlowQuery time.Duration
-	// JournalEntries caps the query-journal ring; < 0 disables journaling
-	// entirely, 0 selects the default (DefaultJournalEntries). With the
-	// journal on, every computed join is traced so the slowest
-	// DefaultJournalSlowest can retain their phase breakdowns.
-	JournalEntries int
 	// JournalSink, when non-nil, receives one JSON line per observation —
 	// the append-only JSONL persistence of the journal (cijserver's
 	// -journal flag opens a file here).
@@ -66,7 +61,7 @@ type Service struct {
 	start   time.Time
 	logger  *slog.Logger
 	metrics *serviceMetrics
-	journal *Journal // nil when Config.JournalEntries < 0
+	journal *Journal
 	history *history.Ring
 	runtime *obs.RuntimeCollector
 	queryID atomic.Int64 // last assigned query ID; threads all four surfaces
@@ -126,9 +121,7 @@ func New(cfg Config) *Service {
 		hub:     newSubHub(),
 		start:   time.Now(),
 		logger:  logger,
-	}
-	if cfg.JournalEntries >= 0 {
-		s.journal = NewJournal(cfg.JournalEntries, DefaultJournalSlowest, cfg.JournalSink)
+		journal: NewJournal(DefaultJournalEntries, DefaultJournalSlowest, cfg.JournalSink),
 	}
 	s.metrics = newServiceMetrics(s)
 	s.cache = newResultCache(cfg.CacheEntries, s.metrics.cacheHits, s.metrics.cacheMisses, s.metrics.cacheEvictions)
@@ -206,8 +199,8 @@ func (s *Service) Close() error {
 // how many subscribers were drained.
 func (s *Service) DrainSubscribers() int { return s.hub.drain() }
 
-// Journal exposes the query journal (nil when disabled) — the backing of
-// GET /debug/queries and the tests' observation source.
+// Journal exposes the query journal — the backing of GET /debug/queries
+// and the tests' observation source.
 func (s *Service) Journal() *Journal { return s.journal }
 
 // History exposes the metrics-history ring. Sampling is caller-driven:
@@ -253,7 +246,7 @@ func (s *Service) Ingest(name string, pts []Point) (*Dataset, error) {
 type Query struct {
 	Left  string
 	Right string
-	// Algo selects the algorithm: nm, pm, fm, parallel, or auto/empty.
+	// Algo selects the algorithm: nm, grid, parallel, or auto/empty.
 	Algo string
 	// Storage selects the node representation for tree algorithms: flat,
 	// paged, or auto/empty (the planner picks).
@@ -383,9 +376,6 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 // carries the full decision context the plan recorded, not a pointer to
 // it.
 func (s *Service) record(out *Outcome) *Outcome {
-	if !s.journal.Enabled() {
-		return out
-	}
 	rec := JournalRecord{
 		ID:           out.QueryID,
 		Time:         time.Now(),
@@ -428,14 +418,13 @@ func (s *Service) compute(ctx context.Context, out *Outcome, key string, hooks e
 	wait := time.Since(waitStart)
 	s.metrics.admissionWait.Observe(wait.Seconds())
 
-	// Trace when the request opted in, the slow-query log is armed (a
-	// slow join must be able to dump its phases after the fact), or the
-	// journal is on (the slowest-K retention needs spans to retain).
-	var tr *obs.Trace
-	if hooks.trace || s.cfg.SlowQuery > 0 || s.journal.Enabled() {
-		tr = obs.NewTrace()
-		tr.Add("admission", "", wait, obs.Counters{})
-	}
+	// Every computed join is traced: the journal's slowest-K retention, the
+	// slow-query log and every request served this result — the one that
+	// computed it, a later cache hit or a single-flight follower — read
+	// the same spans. A request's trace flag only decides whether its
+	// response carries them.
+	tr := obs.NewTrace()
+	tr.Add("admission", "", wait, obs.Counters{})
 
 	pl, left, right := out.Plan, out.Left, out.Right
 	res := s.execute(left, right, pl, hooks, tr)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +156,7 @@ func testDistributions() map[string][2][]geom.Point {
 
 // TestJoinEquivalence is the acceptance criterion: pairs returned via
 // POST /join and streamed via GET /join/stream are set-equal to serial
-// core results for every algorithm × distribution cell. The streaming
+// core results for every served algorithm × distribution cell. The streaming
 // check runs with the cache disabled, so it exercises the live emission
 // path; the buffered check also covers the parallel plan.
 func TestJoinEquivalence(t *testing.T) {
@@ -164,7 +165,7 @@ func TestJoinEquivalence(t *testing.T) {
 		want := serialReference(t, p, q)
 		_, buffered := newTestServer(t, service.Config{}, p, q)
 		_, streaming := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
-		for _, algo := range []string{"nm", "pm", "fm", "parallel", "grid"} {
+		for _, algo := range []string{"nm", "parallel", "grid"} {
 			jr := postJoin(t, buffered, service.JoinRequest{Left: "p", Right: "q", Algo: algo, Workers: 2})
 			if jr.Cached {
 				t.Fatalf("%s/%s: first join reported cached", dist, algo)
@@ -180,6 +181,33 @@ func TestJoinEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s stream summary: count %d, want %d", dist, algo, summary.Count, len(want))
 			}
 		}
+	}
+}
+
+// TestRemovedAlgosRejected: PM-CIJ and FM-CIJ are the paper's Fig. 7
+// baselines, run by cijtool and cijbench but not served. Asking for them
+// is the client's 400 on every join route — buffered, explain-only and
+// streamed — and the error lists the algorithms the service runs.
+func TestRemovedAlgosRejected(t *testing.T) {
+	p, q := dataset.Uniform(100, 15), dataset.Uniform(100, 16)
+	svc, _ := newTestServer(t, service.Config{}, p, q)
+	h := svc.Handler()
+	const want = "nm, parallel, grid or auto"
+	for _, algo := range []string{"pm", "fm"} {
+		body := fmt.Sprintf(`{"left":"p","right":"q","algo":%q}`, algo)
+		for _, route := range []string{"POST /join", "POST /join?explain=1", "GET /join/stream?left=p&right=q&algo=" + algo} {
+			method, target, _ := strings.Cut(route, " ")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+			var e struct{ Error string }
+			json.NewDecoder(rec.Body).Decode(&e)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, want) {
+				t.Errorf("%s: status %d, error %q; want 400 naming %q", route, rec.Code, e.Error, want)
+			}
+		}
+	}
+	if got := svc.StatsSnapshot().JoinsServed; got != 0 {
+		t.Fatalf("rejected requests served %d joins", got)
 	}
 }
 
@@ -551,4 +579,60 @@ func TestExplicitWorkersOne(t *testing.T) {
 	if jr.Algo != "parallel" || jr.Workers != 1 {
 		t.Fatalf("workers=1 planned %s/w%d, want parallel/w1", jr.Algo, jr.Workers)
 	}
+}
+
+// fuzzService is the one small service a fuzz target drives: two
+// 40-point datasets and no result cache, so every valid join executes.
+func fuzzService(f *testing.F) *service.Service {
+	svc := service.New(service.Config{CacheEntries: -1})
+	if _, err := svc.Ingest("p", dataset.Uniform(40, 1)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.Ingest("q", dataset.Clustered(40, 4, 2)); err != nil {
+		f.Fatal(err)
+	}
+	return svc
+}
+
+// serveBelow500 sends one request through the handler and fails on a 5xx
+// status. The middleware answers a recovered panic with 500, so this also
+// proves the request panicked nowhere.
+func serveBelow500(t *testing.T, h http.Handler, method, path, rawQuery string, body []byte) {
+	t.Helper()
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	req.URL.RawQuery = rawQuery
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code >= http.StatusInternalServerError {
+		t.Fatalf("%s %s?%s with body %q: status %d: %s", method, path, rawQuery, body, rec.Code, rec.Body)
+	}
+}
+
+// FuzzJoinRequest: whatever body POST /join gets under whatever query
+// string (explain=1 among them), and whatever query string GET
+// /join/stream gets, the handlers answer below 500. Seeded with the
+// query shapes of TestPlanSelection, the algorithms the service no
+// longer runs, and both storage modes.
+func FuzzJoinRequest(f *testing.F) {
+	h := fuzzService(f).Handler()
+	for _, req := range []service.JoinRequest{
+		{Left: "p", Right: "q"},
+		{Left: "p", Right: "q", Workers: 1},
+		{Left: "p", Right: "q", Algo: "grid"},
+		{Left: "p", Right: "q", Algo: "nm", Storage: "paged", Trace: true},
+		{Left: "p", Right: "q", Algo: "parallel", Storage: "flat", Workers: 2, TopK: 3},
+		{Left: "q", Right: "p", Algo: "pbsm"},
+		{Left: "p", Right: "q", Algo: "pm"},
+		{Left: "p", Right: "ghost", Algo: "fm", TopK: -1},
+	} {
+		body, _ := json.Marshal(req)
+		stream := url.Values{"left": {req.Left}, "right": {req.Right}, "algo": {req.Algo}, "storage": {req.Storage},
+			"workers": {fmt.Sprint(req.Workers)}, "topk": {fmt.Sprint(req.TopK)}, "trace": {fmt.Sprint(req.Trace)}}
+		f.Add(body, "", stream.Encode())
+		f.Add(body, "explain=1", stream.Encode())
+	}
+	f.Fuzz(func(t *testing.T, body []byte, query, streamQuery string) {
+		serveBelow500(t, h, http.MethodPost, "/join", query, body)
+		serveBelow500(t, h, http.MethodGet, "/join/stream", streamQuery, nil)
+	})
 }

@@ -288,29 +288,27 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		Stats:         statsFromIO(io, wall),
 	}
 
-	if s.journal.Enabled() {
-		s.journal.Add(JournalRecord{
-			ID:           qid,
-			Time:         time.Now(),
-			Left:         leftName,
-			LeftVersion:  lv,
-			Right:        rightName,
-			RightVersion: rv,
-			Algo:         "delta",
-			Storage:      "paged",
-			Pairs:        int64(churn),
-			Stats:        sum.Stats,
-			Reason: fmt.Sprintf("incremental maintenance after mutation of %q: %d changes touched %d sites, churning +%d/-%d pairs",
-				cur.Name, len(changes), res.Affected, len(res.Added), len(res.Removed)),
-			Inputs: PlanInputs{
-				LeftPoints:  ld.Live,
-				RightPoints: rd.Live,
-				TotalPoints: ld.Live + rd.Live,
-				LeftSkew:    ld.Skew,
-				RightSkew:   rd.Skew,
-			},
-		}, nil, 0)
-	}
+	s.journal.Add(JournalRecord{
+		ID:           qid,
+		Time:         time.Now(),
+		Left:         leftName,
+		LeftVersion:  lv,
+		Right:        rightName,
+		RightVersion: rv,
+		Algo:         "delta",
+		Storage:      "paged",
+		Pairs:        int64(churn),
+		Stats:        sum.Stats,
+		Reason: fmt.Sprintf("incremental maintenance after mutation of %q: %d changes touched %d sites, churning +%d/-%d pairs",
+			cur.Name, len(changes), res.Affected, len(res.Added), len(res.Removed)),
+		Inputs: PlanInputs{
+			LeftPoints:  ld.Live,
+			RightPoints: rd.Live,
+			TotalPoints: ld.Live + rd.Live,
+			LeftSkew:    ld.Skew,
+			RightSkew:   rd.Skew,
+		},
+	}, nil, 0)
 	s.logger.Info("delta computed",
 		"query_id", qid,
 		"left", leftName, "right", rightName,

@@ -60,6 +60,15 @@ if [ -z "$grid_count" ] || [ "$grid_count" != "$count" ]; then
   exit 1
 fi
 
+# PM-CIJ and FM-CIJ are not served (cijtool join and cijbench run them):
+# asking for one is the client's 400, naming the algorithms the service runs.
+status=$(curl -s -o "$tmp/pm.json" -w '%{http_code}' -X POST "$base/join" \
+  -H 'Content-Type: application/json' -d '{"left":"a","right":"b","algo":"pm"}')
+if [ "$status" != 400 ] || ! grep -q 'nm, parallel, grid or auto' "$tmp/pm.json"; then
+  echo "algo=pm answered $status: $(cat "$tmp/pm.json")"
+  exit 1
+fi
+
 curl -sf "$base/stats" | grep -q '"joins_served":4' || {
   echo "stats did not report 4 joins served"
   exit 1
@@ -80,7 +89,7 @@ curl -sf "$base/stats" | grep -q '"joins_served":4' || {
 
 # A traced join carries the per-phase trace block.
 curl -sf -X POST "$base/join" -H 'Content-Type: application/json' \
-  -d '{"left":"a","right":"b","algo":"pm","topk":1,"trace":true}' | grep -q '"trace":{' || {
+  -d '{"left":"a","right":"b","algo":"nm","storage":"paged","topk":1,"trace":true}' | grep -q '"trace":{' || {
   echo "traced join returned no trace block"
   exit 1
 }
@@ -124,7 +133,7 @@ done
 # A fresh computed join gets a query ID; its journal record's stats block
 # must be byte-identical to the response's.
 join_resp=$(curl -sf -X POST "$base/join" -H 'Content-Type: application/json' \
-  -d '{"left":"a","right":"b","algo":"fm","topk":1}')
+  -d '{"left":"a","right":"b","algo":"parallel","storage":"paged","workers":1,"topk":1}')
 qid=$(printf '%s' "$join_resp" | sed -n 's/.*"query_id":\([0-9][0-9]*\).*/\1/p')
 if [ -z "$qid" ]; then
   echo "join response carries no query_id: $join_resp"
@@ -139,8 +148,8 @@ if [ -z "$resp_stats" ] || [ "$resp_stats" != "$rec_stats" ]; then
 fi
 
 # The listing endpoint filters and reports the total.
-curl -sf "$base/debug/queries?algo=fm&limit=5" | grep -q '"algo":"fm"' || {
-  echo "/debug/queries?algo=fm did not list the fm join"
+curl -sf "$base/debug/queries?algo=parallel&limit=5" | grep -q '"algo":"parallel"' || {
+  echo "/debug/queries?algo=parallel did not list the parallel join"
   exit 1
 }
 
@@ -282,4 +291,4 @@ curl -sf -X POST "$base/join" -H 'Content-Type: application/json' \
 
 kill "$subpid" 2>/dev/null || true
 
-echo "server smoke OK: $count pairs, cache hit, stream summary, explain, trace, /metrics, journal, history and live mutation churn verified"
+echo "server smoke OK: $count pairs, cache hit, stream summary, pm refused, explain, trace, /metrics, journal, history and live mutation churn verified"
