@@ -30,17 +30,21 @@ race:
 # Ten seconds of coverage-guided fuzzing per target over the bytes the
 # service takes from outside: CSV ingest bodies, the WAL and snapshot page
 # files, and the join and mutation requests through the HTTP handlers
-# (never a 5xx, so never a panic). Every `go test` run replays each
-# target's seed corpus; this searches past it. Minimizing a new input may
-# take 1s at most — the default (60s) spends a whole window shrinking the
-# first 3 KB snapshot. A failing input lands in the package's
-# testdata/fuzz as a regression seed to commit.
+# (never a 5xx, so never a panic); and over the grid backend's filtered
+# orient/incircle predicates against exact math/big evaluation. Every
+# `go test` run replays each target's seed corpus; this searches past it.
+# Minimizing a new input may take 10 executions at most: the default
+# (60s) spends a whole window shrinking the first 3 KB snapshot, and a
+# 1s limit still let a cold corpus spend most of FuzzJoinRequest's window
+# minimizing. A failing input lands in the package's testdata/fuzz as a
+# regression seed to commit.
 fuzz:
-	$(GO) test -run xxx -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset
-	$(GO) test -run xxx -fuzz '^FuzzScanWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/storage
-	$(GO) test -run xxx -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
-	$(GO) test -run xxx -fuzz '^FuzzJoinRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
-	$(GO) test -run xxx -fuzz '^FuzzMutationRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/dataset
+	$(GO) test -run xxx -fuzz '^FuzzScanWAL$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/storage
+	$(GO) test -run xxx -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzJoinRequest$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzMutationRequest$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
+	$(GO) test -run xxx -fuzz '^FuzzPredicates$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/grid
 
 check: build vet race fuzz crash-smoke smoke-server bench-module-smoke
 

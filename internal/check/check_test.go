@@ -23,8 +23,8 @@ func TestEquivalenceSeeds(t *testing.T) {
 }
 
 // TestInvariantSeeds runs the metamorphic properties (symmetry,
-// translation/scale equivariance, grid-resolution independence) over the
-// same seed matrix.
+// translation, scale and rotation equivariance) over the same seed
+// matrix.
 func TestInvariantSeeds(t *testing.T) {
 	for seed := int64(1); seed <= NumSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

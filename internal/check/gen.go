@@ -3,13 +3,13 @@
 // asserting that every CIJ backend — NM, PM, FM, the parallel partitioned
 // engine, the in-memory grid backend and the brute-force definition —
 // computes the identical pair set, plus result invariants (operand
-// symmetry, translation and scale equivariance, grid-resolution
-// independence) that hold for the join by definition and therefore must
-// hold for every implementation of it.
+// symmetry, translation, scale and rotation equivariance) that hold for
+// the join by definition and therefore must hold for every
+// implementation of it.
 //
 // With five algorithms answering the same query through three different
 // architectures (best-first R-tree traversal, materialized Voronoi
-// R-trees, uniform-grid partitioning), hand-picked fixtures cannot cover
+// R-trees, Delaunay-graph flooding), hand-picked fixtures cannot cover
 // the interaction space; the harness instead derives ~50 deterministic
 // scenarios from fixed seeds (see check_test.go), each mixing the
 // geometric degeneracies that historically break computational-geometry
@@ -56,7 +56,8 @@ func Generate(seed int64) Pointsets {
 func genSet(rng *rand.Rand) []geom.Point {
 	// Degenerate tiny sets are a scenario of their own: 1–3 points make
 	// cells cover the whole domain and exercise every empty-structure
-	// path (single-leaf trees, single-tile grids, trivial partitions).
+	// path (single-leaf trees, near-empty triangulations, trivial
+	// partitions).
 	if rng.Intn(8) == 0 {
 		return uniquePoints(rng, 1+rng.Intn(3))
 	}

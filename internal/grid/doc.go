@@ -1,62 +1,59 @@
-// Package grid is the partitioned in-memory CIJ backend: a second
-// execution architecture for the common influence join that uses no
-// R-tree, no page buffer and no simulated disk. Where the paper's NM/PM/FM
-// algorithms are index-driven — their cost model is page accesses — this
-// backend assumes both pointsets fit in RAM (they always do in this
-// module) and trades index traversal for a uniform grid in the style of
-// the Partition Based Spatial-Merge join (PBSM, Patel & DeWitt) and its
-// in-memory descendants (Tsitsigkos et al., "Parallel In-Memory Evaluation
-// of Spatial Joins"; Kipf et al., "Adaptive Geospatial Joins for Modern
-// Hardware").
+// Package grid is the in-memory CIJ backend: a second execution
+// architecture for the common influence join that uses no R-tree, no page
+// buffer and no simulated disk. Where the paper's NM/PM/FM algorithms are
+// index-driven — their cost model is page accesses — this backend assumes
+// both pointsets fit in RAM and joins on their Delaunay graphs. It keeps
+// its historical name: the service's algo name "grid", the benchmark and
+// the journal key on it.
 //
-// # Partitioning
+// # Triangulation
 //
-// Each pointset is bucketed into a uniform nx×ny grid over the domain,
-// with the resolution derived from data density: nx = ny =
-// sqrt(n / targetPerCell), so an average tile holds targetPerCell points
-// regardless of cardinality. Three grids exist per join — one per input
-// for diagram computation, one joint grid (sized from |P|+|Q|) for the
-// join phase.
+// Join triangulates each operand on every call. Identical points merge
+// into one vertex, and the join reports a pair for every member. The
+// distinct points go in Hilbert order (locality for the point-location
+// walk) into two triangles spanning four sentinels; each insertion splits
+// its triangle 1→3, or the two triangles on an edge 2→4, and Lawson's
+// flips restore the Delaunay property. Every point is interior to the
+// sentinel frame, so no input needs a hull or a path of its own. orient
+// and incircle trust a float determinant that clears Shewchuk's static
+// error bound and otherwise evaluate exactly in math/big.Rat, a main path
+// on lattices and collinear runs.
 //
-// # Diagram computation
+// # Why the join is exact
 //
-// The Voronoi cells of each input are computed per tile: a tile's sites
-// form one batch (the grid analogue of a leaf batch in Algorithm 2 of the
-// paper) whose cells are refined concurrently while surrounding tiles are
-// visited in rings of increasing Chebyshev distance. Pruning reuses the
-// paper's lemmas verbatim through voronoi.CanRefineMBR (a whole tile
-// cannot refine any member, Lemma 2 with the tile rectangle in place of a
-// subtree MBR) and voronoi.CanRefinePoint (Lemma 1 per site), and a batch
-// member stops expanding once every unvisited tile lies at least twice
-// its circumradius away — the same triangle-inequality bound behind the
-// tree traversal's O(1) prefilter. Per-member clippers and radii live in
-// a reusable diagramScratch mirroring voronoi.Workspace, so the hot loop
-// allocates only when a tile's occupancy exceeds every previous tile's.
+//   - Voronoi neighbours ⊆ Delaunay edges. Sites whose Voronoi cells share
+//     an edge of positive length are adjacent in every Delaunay
+//     triangulation, so the bisectors of a site's Delaunay neighbours cut
+//     its cell (Eq. 2 of the paper) out of the domain.
+//   - Near-twins. voronoi.BruteCell skips the sites within Eps of a site
+//     v (geom.Point.Eq), so v's cell is its Voronoi cell without them.
+//     Deleting a site only joins its Delaunay neighbours, so v's Voronoi
+//     neighbours there neighbour the Eq sites linked to v through Eq
+//     sites. Those lie in v's cluster (a component of the Delaunay edges
+//     under 3·Eps), and cell() clips by the non-Eq neighbours of the
+//     cluster's Eq sites.
+//   - Sentinels never reach the domain. They sit more than twice the
+//     diameter of B = domain ∪ bbox(input) away from B, while every point
+//     of B has a real site within that diameter, so their edges can be
+//     dropped from the graph.
+//   - Overlapping cells are connected. The Voronoi cells that overlap
+//     cell(p) tile it, and cell(p) is convex, so they are linked by shared
+//     edges. The flood from the Q cell holding p expands through every Q
+//     cell whose MBR meets cell(p)'s, joined or not, so a sliver below the
+//     predicate's area threshold cannot cut it off. A near-twin's cell
+//     reaching a point x of cell(p) holds the segment to x, which crosses
+//     only its Eq sites' Voronoi cells, so its cluster links it to a
+//     visited cell; the flood expands through clusters too.
+//   - The greedy walk finds the nearest site. In a Delaunay graph a site
+//     not nearest to x has a neighbour strictly nearer, real for x in B.
+//     Near-twins tie in floats, so the walk steps from whole clusters.
 //
-// # Replication and deduplication
+// Every candidate pair goes through core.CellsJoinWith, the predicate all
+// engines share. A cell takes about six clips whatever the density, so a
+// point mass costs what uniform data does. P's cells are built one at a
+// time in Hilbert order, Q's are memoized, and pairs stream from the
+// first P cell on.
 //
-// Computed cells are replicated into every joint-grid tile their MBR
-// overlaps (the PBSM spatial-merge step: a Voronoi cell is an extended
-// object even though its site is a point, so boundary-straddling cells
-// are candidates in several tiles). Each tile then joins its resident
-// P-cells against its Q-cells — MBR prefilter, then the exact
-// core.CellsJoinWith predicate shared with every other algorithm, so the
-// pair verdicts are bit-identical. Because replication makes a
-// straddling pair visible to several tiles, the join applies the PBSM
-// reference-point rule: the pair is evaluated only in the tile containing
-// the bottom-left corner of its MBR intersection, which exactly one tile
-// owns. Deduplication therefore costs two comparisons per candidate and
-// no cross-tile state.
-//
-// # Where it wins, where it loses
-//
-// With near-uniform density every phase is linear in n and allocation
-// light, and the backend beats the tree algorithms on wall clock (a
-// crossover against NM-CIJ at 0.2 scale on a 1-CPU host, recorded when
-// the backend was added: 1.9–3.6× on uniform data, up to 17× on
-// clustered data). Under heavy skew a single tile can hold thousands of
-// points, and the per-tile batches degrade toward the quadratic brute
-// force; SkewEstimate quantifies this, and the query planner
-// (internal/service) uses it to route skewed joins to the tree-based
-// algorithms instead.
+// SkewEstimate stays as a dataset statistic: the service benchmark times
+// it in its set-up replay and describes its inputs by it.
 package grid

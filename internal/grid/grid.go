@@ -1,113 +1,67 @@
 package grid
 
 import (
-	"math"
+	"time"
 
+	"cij/internal/core"
 	"cij/internal/geom"
+	"cij/internal/obs"
 )
 
-const (
-	// defaultTargetPerCell sizes the grid from data density: the tile side
-	// count is chosen so that an average tile holds about this many points.
-	// Small enough that per-tile work stays near-linear, large enough that
-	// a tile's batch amortizes the ring expansion over many cells.
-	defaultTargetPerCell = 48
-	// maxSide caps the tile count: beyond ~10⁶ points the per-tile batches
-	// stay at the target size by capping the resolution instead of growing
-	// the tile table without bound.
-	maxSide = 512
-	// tilePad expands tile rectangles used in geometric predicates, so that
-	// the floating-point residue of bucketing (a point whose computed tile
-	// index and recomputed coordinate disagree in the last ulp) can never
-	// make a covering test miss the point. Domain coordinates are ~1e4, so
-	// geom.Eps (1e-7) dominates any such residue by several orders.
-	tilePad = geom.Eps
-)
-
-// tileGrid is a uniform nx×ny tiling of the domain rectangle. Points are
-// bucketed by truncating their offset from the domain origin; out-of-range
-// indices clamp to the edge tiles, so every point of the (closed) domain
-// lands in exactly one tile.
-type tileGrid struct {
-	domain geom.Rect
-	nx, ny int
-	cw, ch float64 // tile width / height
+// Options tunes a grid join.
+type Options struct {
+	// OnPair, when non-nil, streams every result pair as the flood finds
+	// it (P's sites in Hilbert order, on the calling goroutine).
+	OnPair func(core.Pair)
+	// CollectPairs controls whether Result.Pairs is populated.
+	CollectPairs bool
+	// Trace, when non-nil, receives a "triangulate" span per operand
+	// (tagged "p" and "q") and a "join" span carrying the P cells,
+	// candidates and true hits. The backend performs no I/O, so spans
+	// carry only wall clock and the filter-quality counters. Nil costs
+	// nothing.
+	Trace *obs.Trace
 }
 
-// newTileGrid sizes a grid for n points at the given average tile
-// occupancy (<= 0 selects defaultTargetPerCell).
-func newTileGrid(domain geom.Rect, n, targetPerCell int) tileGrid {
-	if targetPerCell <= 0 {
-		targetPerCell = defaultTargetPerCell
-	}
-	side := int(math.Sqrt(float64(n) / float64(targetPerCell)))
-	if side < 1 {
-		side = 1
-	}
-	if side > maxSide {
-		side = maxSide
-	}
-	g := tileGrid{domain: domain, nx: side, ny: side}
-	g.cw = domain.Width() / float64(side)
-	g.ch = domain.Height() / float64(side)
-	// Degenerate domains (zero extent) collapse to one tile per axis.
-	if g.cw <= 0 {
-		g.nx, g.cw = 1, math.Max(domain.Width(), 1)
-	}
-	if g.ch <= 0 {
-		g.ny, g.ch = 1, math.Max(domain.Height(), 1)
-	}
-	return g
+// DefaultOptions mirrors core.DefaultOptions for the grid backend: pairs
+// collected.
+func DefaultOptions() Options {
+	return Options{CollectPairs: true}
 }
 
-// tiles returns the tile count.
-func (g tileGrid) tiles() int { return g.nx * g.ny }
-
-// col returns the clamped column index of coordinate x.
-func (g tileGrid) col(x float64) int {
-	i := int((x - g.domain.MinX) / g.cw)
-	if i < 0 {
-		return 0
+// Join evaluates CIJ(P, Q) in memory and returns a result equivalent (as
+// a pair set) to core.NMCIJ over R-trees on the same pointsets. It
+// triangulates both operands, then floods Q's Delaunay graph from the Q
+// site nearest each P site, computing cells on demand and testing each
+// candidate with the shared predicate core.CellsJoinWith.
+//
+// Stats: MatCPU is the two triangulations and JoinCPU the flood; the I/O
+// counters stay zero. PCellsComputed counts P cells (one per distinct P
+// point), Candidates the predicate tests and TrueHits the tests that
+// joined, so FalseHitRatio describes the flood's MBR filter.
+func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
+	start := time.Now()
+	var res core.Result
+	if len(p) == 0 || len(q) == 0 {
+		res.Stats.JoinCPU = time.Since(start)
+		return res
 	}
-	if i >= g.nx {
-		return g.nx - 1
-	}
-	return i
-}
 
-// row returns the clamped row index of coordinate y.
-func (g tileGrid) row(y float64) int {
-	i := int((y - g.domain.MinY) / g.ch)
-	if i < 0 {
-		return 0
-	}
-	if i >= g.ny {
-		return g.ny - 1
-	}
-	return i
-}
+	tr := opts.Trace
+	tp := triangulate(p, domain)
+	mid := time.Now()
+	tr.Add("triangulate", "p", mid.Sub(start), obs.Counters{Items: int64(len(p))})
+	tq := triangulate(q, domain)
+	joinStart := time.Now()
+	tr.Add("triangulate", "q", joinStart.Sub(mid), obs.Counters{Items: int64(len(q))})
+	res.Stats.MatCPU = joinStart.Sub(start)
 
-// tileOf returns the linear tile index of point p.
-func (g tileGrid) tileOf(p geom.Point) int { return g.row(p.Y)*g.nx + g.col(p.X) }
-
-// tileRect returns a rectangle covering every point bucketed into tile
-// (ix, iy), padded by tilePad so the cover survives bucketing round-off.
-// It is the rectangle the Lemma 2 tile test (voronoi.CanRefineMBR) runs
-// against, so it must never under-cover.
-func (g tileGrid) tileRect(ix, iy int) geom.Rect {
-	x0 := g.domain.MinX + float64(ix)*g.cw
-	y0 := g.domain.MinY + float64(iy)*g.ch
-	return geom.Rect{
-		MinX: x0 - tilePad, MinY: y0 - tilePad,
-		MaxX: x0 + g.cw + tilePad, MaxY: y0 + g.ch + tilePad,
-	}
-}
-
-// rangeOf returns the inclusive tile index range covered by rectangle r
-// expanded by tilePad on the max sides — the replication range of a cell
-// MBR. The expansion guarantees that the reference point of any MBR pair
-// that Intersects within geom.Eps tolerance still falls inside both
-// cells' replication ranges (see the dedup discussion in join.go).
-func (g tileGrid) rangeOf(r geom.Rect) (ix0, iy0, ix1, iy1 int) {
-	return g.col(r.MinX), g.row(r.MinY), g.col(r.MaxX + tilePad), g.row(r.MaxY + tilePad)
+	flood(tp, tq, domain, opts, &res)
+	res.Stats.JoinCPU = time.Since(joinStart)
+	tr.Add("join", "", res.Stats.JoinCPU, obs.Counters{
+		PCells:     res.Stats.PCellsComputed,
+		Candidates: res.Stats.Candidates,
+		TrueHits:   res.Stats.TrueHits,
+	})
+	return res
 }

@@ -1,26 +1,31 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cij/internal/core"
 	"cij/internal/dataset"
+	"cij/internal/exp"
 	"cij/internal/geom"
 )
 
-// runBoth computes the grid join and the brute-force oracle on the same
-// inputs and fails the test unless the pair sets agree.
-func requireMatchesBrute(t *testing.T, name string, p, q []geom.Point, opts Options) core.Result {
+// requireMatchesBrute computes the grid join and the brute-force oracle
+// on the same inputs and fails the test unless the pair sets agree.
+func requireMatchesBrute(t *testing.T, name string, p, q []geom.Point, opts Options) {
 	t.Helper()
-	res := Join(p, q, dataset.Domain, opts)
-	want := core.BruteCIJ(p, q, dataset.Domain)
-	if !core.SamePairs(res.Pairs, want) {
-		t.Fatalf("%s: grid=%d pairs brute=%d pairs\nmissing=%v\nextra=%v",
-			name, len(res.Pairs), len(want),
-			core.DiffPairs(want, res.Pairs), core.DiffPairs(res.Pairs, want))
+	requireSamePairs(t, name, Join(p, q, dataset.Domain, opts).Pairs, core.BruteCIJ(p, q, dataset.Domain))
+}
+
+func requireSamePairs(t *testing.T, name string, got, want []core.Pair) {
+	t.Helper()
+	if !core.SamePairs(got, want) {
+		t.Fatalf("%s: grid=%d pairs, want %d\nmissing=%v\nextra=%v",
+			name, len(got), len(want), core.DiffPairs(want, got), core.DiffPairs(got, want))
 	}
-	return res
 }
 
 func TestJoinMatchesBruteUniform(t *testing.T) {
@@ -54,57 +59,6 @@ func TestJoinEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestDedupBoundaryStraddlers is the regression test for the PBSM
-// reference-point rule: points are planted right next to tile boundary
-// lines at a forced-fine resolution, so nearly every Voronoi cell MBR is
-// replicated into several tiles, and any dedup defect shows up as a
-// duplicated (or missing) pair in the emitted multiset.
-func TestDedupBoundaryStraddlers(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	g := newTileGrid(dataset.Domain, 256, 1) // the resolution a 256-point set gets at TargetPerCell 1
-	var p, q []geom.Point
-	for i := 0; i < 128; i++ {
-		// A point a hair away from a random vertical tile line, and one
-		// near a horizontal line; the cell around each straddles the line.
-		lineX := dataset.Domain.MinX + float64(rng.Intn(g.nx))*g.cw
-		lineY := dataset.Domain.MinY + float64(rng.Intn(g.ny))*g.ch
-		off := (rng.Float64() - 0.5) * g.cw * 0.01
-		p = append(p, geom.Pt(geom.Clamp(lineX+off, dataset.Domain.MinX, dataset.Domain.MaxX), rng.Float64()*dataset.Domain.MaxY))
-		q = append(q, geom.Pt(rng.Float64()*dataset.Domain.MaxX, geom.Clamp(lineY+off, dataset.Domain.MinY, dataset.Domain.MaxY)))
-	}
-
-	opts := Options{TargetPerCell: 1, CollectPairs: true}
-	var emitted []core.Pair
-	opts.OnPair = func(pr core.Pair) { emitted = append(emitted, pr) }
-	res := requireMatchesBrute(t, "straddlers", p, q, opts)
-
-	seen := make(map[core.Pair]int)
-	for _, pr := range emitted {
-		seen[pr]++
-		if seen[pr] > 1 {
-			t.Fatalf("pair %v emitted %d times: dedup failed", pr, seen[pr])
-		}
-	}
-	if len(emitted) != len(res.Pairs) {
-		t.Fatalf("OnPair saw %d pairs, Result.Pairs has %d", len(emitted), len(res.Pairs))
-	}
-}
-
-// TestResolutionIndependence pins the documented contract that the pair
-// set does not depend on the grid resolution: replication and dedup must
-// hide the partitioning entirely.
-func TestResolutionIndependence(t *testing.T) {
-	p := dataset.Clustered(300, 6, 31)
-	q := dataset.Uniform(300, 32)
-	base := Join(p, q, dataset.Domain, DefaultOptions())
-	for _, target := range []int{1, 7, 500} {
-		res := Join(p, q, dataset.Domain, Options{TargetPerCell: target, CollectPairs: true})
-		if !core.SamePairs(base.Pairs, res.Pairs) {
-			t.Fatalf("target %d: %d pairs, default resolution %d", target, len(res.Pairs), len(base.Pairs))
-		}
-	}
-}
-
 func TestDuplicateAndCollinearPoints(t *testing.T) {
 	p := dataset.Uniform(60, 77)
 	p = append(p, p[:10]...) // exact duplicates within the set
@@ -114,6 +68,79 @@ func TestDuplicateAndCollinearPoints(t *testing.T) {
 	}
 	q = append(q, p[5]) // duplicate across sets
 	requireMatchesBrute(t, "dups+collinear", p, q, DefaultOptions())
+}
+
+// TestUnusualCoordinates covers inputs the service's normalization can
+// still produce and the API accepts: coordinates so small that the
+// predicates' float filters would underflow (those calls evaluate
+// exactly), P sites outside the domain, and near-twins. The cell of P
+// site 0 lies far from the Q site nearest to it, so its flood must start
+// from a point of the clipped cell, not from the site. Near-twins are
+// distinct sites within geom.Eps of each other, which voronoi.BruteCell
+// gives one shared cell: the centre of the ulp cross has only its four
+// twins as Delaunay neighbours, and a cluster's cells overlap, so the
+// flood must reach twins that no cell of the partition leads to.
+func TestUnusualCoordinates(t *testing.T) {
+	tiny := append(dataset.Uniform(40, 5), geom.Pt(0, 0), geom.Pt(0x1p-1000, 0), geom.Pt(0x1p-1074, 0x1p-1074))
+	requireMatchesBrute(t, "tiny", tiny, dataset.Uniform(40, 6), DefaultOptions())
+	outside := []geom.Point{geom.Pt(1240, -2176), geom.Pt(6828, 11842), geom.Pt(298, 391), geom.Pt(6916, 10795)}
+	requireMatchesBrute(t, "outside", outside, dataset.Uniform(40, 2), DefaultOptions())
+
+	ulp := math.Nextafter(5000, 6000) - 5000
+	twins := [][]geom.Point{
+		{geom.Pt(5000, 5000), geom.Pt(5000+ulp, 5000), geom.Pt(5000-ulp, 5000), geom.Pt(5000, 5000+ulp), geom.Pt(5000, 5000-ulp)},
+		{geom.Pt(0, 0), geom.Pt(0x1p-600, 0), geom.Pt(0, 0x1p-600), geom.Pt(0x1p-600, 0x1p-600), geom.Pt(0x1p-601, 0x1p-601)},
+	}
+	for _, s := range []float64{1e-9, 3e-8, 4e-8} { // every pair of the 3×3 block within Eps
+		var block []geom.Point
+		for i := range 9 {
+			block = append(block, geom.Pt(4321+float64(i%3)*s, 6789+float64(i/3)*s))
+		}
+		twins = append(twins, block)
+	}
+	u, v := dataset.Uniform(300, 11), dataset.Uniform(300, 12)
+	for i, pts := range twins {
+		name := fmt.Sprintf("twin family %d", i)
+		requireMatchesBrute(t, name+" in P", slices.Concat(u, pts), v, DefaultOptions())
+		requireMatchesBrute(t, name+" in Q", v, slices.Concat(u, pts), DefaultOptions())
+		requireMatchesBrute(t, name+" in both", slices.Concat(u, pts), slices.Concat(v, pts), DefaultOptions())
+	}
+}
+
+// lattice returns the 0.1-spaced 5,000-point lattice (50 columns, 100
+// rows) with its corner at (x0, y0): every site ties with its lattice
+// neighbours, and every cell is a 0.1-wide square or a strip to the
+// domain's edge.
+func lattice(x0, y0 float64) []geom.Point {
+	pts := make([]geom.Point, 5000)
+	for i := range pts {
+		pts[i] = geom.Pt(x0+float64(i%50)*0.1, y0+float64(i/50)*0.1)
+	}
+	return pts
+}
+
+// TestLatticeStress joins uniform data with the lattice, the lattice with
+// itself and with itself shifted by half a spacing, and holds each to
+// NM-CIJ on flat trees: nearly every incircle test on a lattice falls to
+// the exact predicate, and the shifted copy puts a P site on a corner of
+// Q cells. (Uniform data takes the P side because NM-CIJ with the
+// lattice's long edge strips as P cells runs six times longer.)
+func TestLatticeStress(t *testing.T) {
+	grid := lattice(5000, 5000)
+	cases := []struct {
+		name string
+		p, q []geom.Point
+	}{
+		{"uniform x lattice", dataset.Uniform(5000, 93), grid},
+		{"lattice x lattice", grid, grid},
+		{"lattice x shifted", grid, lattice(5000.05, 5000.05)},
+	}
+	for _, tc := range cases {
+		env := exp.BuildEnv(tc.p, tc.q, exp.DefaultPageSize, exp.DefaultBufferPct)
+		rp, rq := env.Flat()
+		want := core.NMCIJ(rp, rq, exp.Domain, core.DefaultOptions()).Pairs
+		requireSamePairs(t, tc.name, Join(tc.p, tc.q, dataset.Domain, DefaultOptions()).Pairs, want)
+	}
 }
 
 func TestSkewEstimate(t *testing.T) {
@@ -127,6 +154,25 @@ func TestSkewEstimate(t *testing.T) {
 	}
 	if got := SkewEstimate(nil, dataset.Domain); got != 0 {
 		t.Fatalf("empty skew = %v, want 0", got)
+	}
+}
+
+// pointMass draws n points from N((5000, 5000), 20²). The point-mass
+// benchmark pins that the join's cost does not grow with density.
+func pointMass(n int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(5000+20*rng.NormFloat64(), 5000+20*rng.NormFloat64())
+	}
+	return pts
+}
+
+func BenchmarkGridJoinPointMass(b *testing.B) {
+	p, q := pointMass(20000, 1), pointMass(20000, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		Join(p, q, dataset.Domain, Options{})
 	}
 }
 

@@ -1,199 +1,108 @@
 package grid
 
 import (
-	"fmt"
-	"time"
-
 	"cij/internal/core"
 	"cij/internal/geom"
-	"cij/internal/obs"
-	"cij/internal/voronoi"
 )
 
-// Options tunes a grid join.
-type Options struct {
-	// TargetPerCell is the average tile occupancy the grids are sized for;
-	// <= 0 selects the default (48). The result pair set is independent of
-	// this value — only the partitioning (and therefore the cost profile)
-	// changes, a property the test suite pins.
-	TargetPerCell int
-	// OnPair, when non-nil, streams every result pair as it is produced
-	// (in deterministic tile order on the calling goroutine).
-	OnPair func(core.Pair)
-	// CollectPairs controls whether Result.Pairs is populated.
-	CollectPairs bool
-	// Trace, when non-nil, receives per-phase spans: "voronoi" (tagged
-	// "p"/"q") for the diagram builds, "replicate" for the PBSM tiling,
-	// one "tile" span per non-empty tile tagged "r,c" (folding into the
-	// per-phase overflow span past the trace's cap), and an aggregate
-	// "join" span. The backend performs no I/O, so spans carry only wall
-	// clock and the filter-quality counters. Nil costs nothing.
-	Trace *obs.Trace
+// qCells memoizes Q's Voronoi cells per vertex: the flood of one P cell
+// meets each Q cell it overlaps, and neighbouring P cells meet the same
+// ones. Vertices live in a grow-only arena, so a computed cell's V is
+// never nil; a growth reallocation strands the old backing array, which
+// the cells placed before keep alive.
+type qCells struct {
+	poly   []geom.Polygon
+	bounds []geom.Rect
+	arena  []geom.Point
+	cl     geom.Clipper
 }
 
-// DefaultOptions mirrors core.DefaultOptions for the grid backend: pairs
-// collected, density-derived resolution.
-func DefaultOptions() Options {
-	return Options{CollectPairs: true}
+// get returns Q vertex v's cell and MBR, computing them on first use.
+func (c *qCells) get(t *triangulation, v int32, domain geom.Rect) (geom.Polygon, geom.Rect) {
+	if c.poly[v].V == nil {
+		vs := t.cell(&c.cl, v, domain).V
+		n := len(c.arena)
+		c.arena = append(c.arena, vs...)
+		poly := geom.Polygon{V: c.arena[n:len(c.arena):len(c.arena)]}
+		c.poly[v], c.bounds[v] = poly, poly.Bounds()
+	}
+	return c.poly[v], c.bounds[v]
 }
 
-// Join evaluates CIJ(P, Q) with the partitioned in-memory backend and
-// returns a result equivalent (as a pair set) to core.NMCIJ over R-trees
-// on the same pointsets. No index and no simulated disk are involved:
-// both Voronoi diagrams are computed through the uniform grid
-// (buildDiagram), cells are replicated into the tiles of a joint grid by
-// MBR (the PBSM partitioning step), and each tile joins its resident
-// P- and Q-cells with the shared predicate core.CellsJoinWith. A pair
-// whose cells straddle tiles is seen by several tiles; the reference-point
-// rule in joinTiles reports it exactly once.
-//
-// Stats mapping: MatCPU is the diagram-building phase, JoinCPU the
-// replicate+join phase; both I/O counters stay zero (the backend performs
-// none, which is its point). Candidates counts deduplicated cell pairs
-// that survived the MBR prefilter, TrueHits the pairs that joined, so
-// FalseHitRatio describes the grid filter exactly as it does the NM-CIJ
-// filter. PCellsComputed is |P| — the backend materializes Vor(P) in full.
-func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
-	start := time.Now()
-	var res core.Result
-	res.Stats.PCellsComputed = int64(len(p))
-	if len(p) == 0 || len(q) == 0 {
-		res.Stats.JoinCPU = time.Since(start)
-		return res
+// flood joins every P cell with the Q cells it overlaps. For each P
+// vertex in Hilbert order it builds cell(p), walks greedily on Q's graph
+// from the previous P vertex's nearest Q vertex to the one nearest a point
+// of cell(p), and floods breadth-first from there: a Q cell whose MBR
+// misses cell(p)'s is skipped, any other is tested and its neighbours and
+// near-twins queued whether or not it joined (the package comment says
+// why this reaches every overlapping cell).
+func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Result) {
+	qc := qCells{
+		poly:   make([]geom.Polygon, tq.n),
+		bounds: make([]geom.Rect, tq.n),
+		arena:  make([]geom.Point, 0, 8*int(tq.n)),
 	}
-
-	tr := opts.Trace
-	var ds diagramScratch
-	phaseStart := start
-	cellsP := buildDiagram(voronoi.MakeSites(p), newTileGrid(domain, len(p), opts.TargetPerCell), &ds)
-	if tr.Enabled() {
-		// PCells rides the P span only, so the trace total matches
-		// Stats.PCellsComputed; the Q diagram reports plain item count.
-		now := time.Now()
-		tr.Add("voronoi", "p", now.Sub(phaseStart), obs.Counters{PCells: int64(len(p))})
-		phaseStart = now
+	stamp, ringed := make([]int32, tq.n), make([]int32, tq.n) // P vertex + 1 that last queued a Q vertex, its ring
+	var queue []int32
+	push := func(w, v int32) {
+		if stamp[w] != v+1 {
+			stamp[w] = v + 1
+			queue = append(queue, w)
+		}
 	}
-	cellsQ := buildDiagram(voronoi.MakeSites(q), newTileGrid(domain, len(q), opts.TargetPerCell), &ds)
-	if tr.Enabled() {
-		tr.Add("voronoi", "q", time.Since(phaseStart), obs.Counters{Items: int64(len(q))})
-	}
-	res.Stats.MatCPU = time.Since(start)
-
-	joinStart := time.Now()
-	g := newTileGrid(domain, len(p)+len(q), opts.TargetPerCell)
-	repP := replicate(cellsP, g)
-	repQ := replicate(cellsQ, g)
-	if tr.Enabled() {
-		tr.Add("replicate", "", time.Since(joinStart), obs.Counters{Items: int64(g.tiles())})
-		phaseStart = time.Now()
-	}
-	joinTiles(g, cellsP, cellsQ, repP, repQ, opts, &res)
-	if tr.Enabled() {
-		// Aggregate span over all tiles; its wall overlaps the per-tile
-		// spans (which carry the Candidates/TrueHits deltas), so it adds
-		// no counters beyond the tile count.
-		tr.Add("join", "", time.Since(phaseStart), obs.Counters{Items: int64(g.tiles())})
-	}
-	res.Stats.JoinCPU = time.Since(joinStart)
-	return res
-}
-
-// replicate assigns every cell to each tile of g that its MBR overlaps —
-// the PBSM replication step, in the same CSR layout as point bucketing.
-// Empty cells (possible only for degenerate inputs) are dropped here,
-// matching the join predicate, which can never accept them.
-func replicate(cells []cellInfo, g tileGrid) buckets {
-	b := buckets{start: make([]int32, g.tiles()+1)}
-	total := 0
-	for i := range cells {
-		if cells[i].poly.IsEmpty() {
+	var cp, cj geom.Clipper
+	near := int32(0)
+	for v := int32(0); v < tp.n; v++ {
+		pc := tp.cell(&cp, v, domain)
+		res.Stats.PCellsComputed++
+		if pc.IsEmpty() {
 			continue
 		}
-		ix0, iy0, ix1, iy1 := g.rangeOf(cells[i].bounds)
-		for iy := iy0; iy <= iy1; iy++ {
-			for ix := ix0; ix <= ix1; ix++ {
-				b.start[iy*g.nx+ix+1]++
-				total++
+		pb := pc.Bounds()
+		// The site is in its own cell unless it lies outside the domain;
+		// then any vertex of the clipped cell serves as the target.
+		target := tp.verts[v]
+		if !domain.Contains(target) {
+			target = pc.V[0]
+		}
+		near = tq.nearest(near, target)
+
+		queue = queue[:0]
+		push(near, v)
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			poly, qb := qc.get(tq, u, domain)
+			if !pb.Intersects(qb) {
+				continue
+			}
+			res.Stats.Candidates++
+			if core.CellsJoinWith(&cj, pc, poly) {
+				res.Stats.TrueHits++
+				emit(tp.membersOf(v), tq.membersOf(u), opts, res)
+			}
+			for _, w := range tq.neighbors(u) {
+				push(w, v)
+			}
+			for w := tq.ring[u]; w != u && ringed[u] != v+1; w = tq.ring[w] {
+				ringed[w] = v + 1 // the first of a cluster to pass queues the rest
+				push(w, v)
 			}
 		}
 	}
-	for t := 1; t < len(b.start); t++ {
-		b.start[t] += b.start[t-1]
-	}
-	b.ids = make([]int32, total)
-	next := append([]int32(nil), b.start[:g.tiles()]...)
-	for i := range cells {
-		if cells[i].poly.IsEmpty() {
-			continue
-		}
-		ix0, iy0, ix1, iy1 := g.rangeOf(cells[i].bounds)
-		for iy := iy0; iy <= iy1; iy++ {
-			for ix := ix0; ix <= ix1; ix++ {
-				t := iy*g.nx + ix
-				b.ids[next[t]] = int32(i)
-				next[t]++
-			}
-		}
-	}
-	return b
 }
 
-// joinTiles runs the per-tile joins. Deduplication uses the PBSM
-// reference-point rule: a candidate pair is evaluated only in the tile
-// containing the bottom-left corner of its MBR intersection
-// (max of the MinX/MinY coordinates). That corner lies in both cells'
-// replication ranges — rangeOf expands the max sides by the same tilePad
-// slack the MBR Intersects tolerance can introduce — so of all tiles that
-// see the pair, exactly one owns it, and no cross-tile state is needed.
-func joinTiles(g tileGrid, cellsP, cellsQ []cellInfo, repP, repQ buckets, opts Options, res *core.Result) {
-	tr := opts.Trace
-	var cl geom.Clipper
-	for t := 0; t < g.tiles(); t++ {
-		ps := repP.ids[repP.start[t]:repP.start[t+1]]
-		qs := repQ.ids[repQ.start[t]:repQ.start[t+1]]
-		if len(ps) == 0 || len(qs) == 0 {
-			continue
-		}
-		// Per-tile spans only for tiles with work on both sides; a fine
-		// grid folds the long tail into the (tile, other) overflow span.
-		var tileStart time.Time
-		var candBefore, hitsBefore int64
-		if tr.Enabled() {
-			tileStart = time.Now()
-			candBefore, hitsBefore = res.Stats.Candidates, res.Stats.TrueHits
-		}
-		tx, ty := t%g.nx, t/g.nx
-		for _, pi := range ps {
-			a := &cellsP[pi]
-			for _, qi := range qs {
-				b := &cellsQ[qi]
-				if !a.bounds.Intersects(b.bounds) {
-					continue
-				}
-				refX := max(a.bounds.MinX, b.bounds.MinX)
-				refY := max(a.bounds.MinY, b.bounds.MinY)
-				if g.col(refX) != tx || g.row(refY) != ty {
-					continue // another tile owns this pair
-				}
-				res.Stats.Candidates++
-				if core.CellsJoinWith(&cl, a.poly, b.poly) {
-					res.Stats.TrueHits++
-					pair := core.Pair{P: a.site.ID, Q: b.site.ID}
-					if opts.CollectPairs {
-						res.Pairs = append(res.Pairs, pair)
-					}
-					if opts.OnPair != nil {
-						opts.OnPair(pair)
-					}
-				}
+// emit reports a joined cell pair as one pair per merged input point on
+// each side.
+func emit(ps, qs []int32, opts Options, res *core.Result) {
+	for _, a := range ps {
+		for _, b := range qs {
+			pair := core.Pair{P: int64(a), Q: int64(b)}
+			if opts.CollectPairs {
+				res.Pairs = append(res.Pairs, pair)
 			}
-		}
-		if tr.Enabled() {
-			tr.Add("tile", fmt.Sprintf("%d,%d", ty, tx), time.Since(tileStart), obs.Counters{
-				Candidates: res.Stats.Candidates - candBefore,
-				TrueHits:   res.Stats.TrueHits - hitsBefore,
-				Items:      1,
-			})
+			if opts.OnPair != nil {
+				opts.OnPair(pair)
+			}
 		}
 	}
 }

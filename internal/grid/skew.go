@@ -16,19 +16,24 @@ const skewTargetPerCell = 16
 // sqrt(Var[tile count] / E[tile count]). Uniform data scatters tiles like
 // a Poisson process, where variance equals mean, so the estimate sits
 // near 1 regardless of cardinality; clustering concentrates points and
-// drives it up without bound. The query planner uses it to decide whether
-// a join is grid-friendly — uniform tiles keep the per-tile batches (and
-// the per-tile join loops) near the target occupancy, while heavy skew
-// piles thousands of points into single tiles and degrades the backend
-// toward its quadratic worst case.
+// drives it up without bound. It describes a dataset's shape (the service
+// benchmark reports its inputs by it); the join's cost no longer depends
+// on it.
 func SkewEstimate(pts []geom.Point, domain geom.Rect) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	g := newTileGrid(domain, len(pts), skewTargetPerCell)
-	counts := make([]int32, g.tiles())
-	for i := range pts {
-		counts[g.tileOf(pts[i])]++
+	side := min(max(int(math.Sqrt(float64(len(pts))/skewTargetPerCell)), 1), 512)
+	// bin clamps, so points on or outside the domain's edge land in a tile.
+	bin := func(v, lo, extent float64) int {
+		if extent <= 0 {
+			return 0
+		}
+		return min(max(int((v-lo)/(extent/float64(side))), 0), side-1)
+	}
+	counts := make([]int32, side*side)
+	for _, p := range pts {
+		counts[bin(p.Y, domain.MinY, domain.Height())*side+bin(p.X, domain.MinX, domain.Width())]++
 	}
 	mean := float64(len(pts)) / float64(len(counts))
 	var ss float64
@@ -36,6 +41,5 @@ func SkewEstimate(pts []geom.Point, domain geom.Rect) float64 {
 		d := float64(c) - mean
 		ss += d * d
 	}
-	variance := ss / float64(len(counts))
-	return math.Sqrt(variance / mean)
+	return math.Sqrt(ss / float64(len(counts)) / mean)
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // TestTraceSumsToStats pins the trace/stats reconciliation for the grid
-// backend: per-tile Candidates/TrueHits deltas (including whatever folded
-// into the overflow span) sum to the aggregate Stats, PCells rides the
-// P-diagram span, and no I/O counter ever appears — the backend performs
+// backend: the spans' PCells, Candidates and TrueHits sum to the
+// aggregate Stats, and no I/O counter ever appears — the backend performs
 // none.
 func TestTraceSumsToStats(t *testing.T) {
 	p := dataset.Clustered(700, 6, 51)
@@ -39,7 +38,7 @@ func TestTraceSumsToStats(t *testing.T) {
 	for _, sp := range opts.Trace.Spans() {
 		phases[sp.Phase] = true
 	}
-	for _, want := range []string{"voronoi", "replicate", "tile", "join"} {
+	for _, want := range []string{"triangulate", "join"} {
 		if !phases[want] {
 			t.Fatalf("missing phase %q in %v", want, phases)
 		}

@@ -39,14 +39,14 @@
 //   - Planner/dispatcher (planner.go): maps a Query {left, right, algo,
 //     workers, topk} onto an execution plan. An explicit algo ("nm",
 //     "parallel", "grid") is honored; "auto" (or empty) routes on
-//     cardinality and density: the parallel partitioned engine when the
-//     joint cardinality is large enough to amortize its fan-out (sizing
-//     the worker pool from dataset cardinalities when the query does not
-//     fix it), otherwise the in-memory grid backend (internal/grid, zero
-//     I/O) when both datasets' ingest-time skew statistics say the
-//     uniform tiling will hold up, and serial NM-CIJ for skewed serial
-//     joins. The planner narrates as it decides: each branch writes the
-//     reason for its own choice into the Explanation it returns, and a
+//     cardinality: the parallel partitioned engine when the joint
+//     cardinality is large enough to amortize its fan-out (sizing the
+//     worker pool from dataset cardinalities when the query does not fix
+//     it), serial NM-CIJ when the query names a storage (a statement
+//     about tree nodes), and otherwise the in-memory grid backend
+//     (internal/grid, zero I/O), whose Delaunay join costs the same at
+//     any density. The planner narrates as it decides: each branch writes
+//     the reason for its own choice into the Explanation it returns, and a
 //     served join carries that one Explanation into ?explain=1 and the
 //     journal, so the narration cannot drift from the plan. No plan
 //     writes a page: NM and parallel read per-request views of the
@@ -135,8 +135,8 @@
 //     dataset names *with versions* — observations survive re-ingests
 //     without silently mixing distributions.
 //   - Decision: the executed Plan (algo, storage, workers), Cached, the
-//     planner's narrated Reason, and PlanInputs (cardinalities, skew
-//     statistics, the gate constants in force) — the feature vector.
+//     planner's narrated Reason, and PlanInputs (cardinalities and the
+//     gate constants in force) — the feature vector.
 //   - Outcome: Pairs and Stats, where Stats is built by the same
 //     projection as the JoinResponse's (Outcome.statsJSON), making the
 //     journal byte-equal to the response and, because the metric

@@ -335,15 +335,12 @@ type MutationResponse struct {
 	Updated     int     `json:"updated,omitempty"`
 	Deleted     int     `json:"deleted,omitempty"`
 	Pages       int     `json:"pages"`
-	Skew        float64 `json:"skew"`
 	// Deltas summarizes the incremental join maintenance this mutation
 	// triggered, in subscription order.
 	Deltas []DeltaSummaryJSON `json:"deltas,omitempty"`
 }
 
-// DatasetInfo describes one registry entry in /datasets and /stats. Skew
-// is the ingest-time density statistic the auto planner routes on, so a
-// client can predict (and debug) algorithm selection.
+// DatasetInfo describes one registry entry in /datasets and /stats.
 type DatasetInfo struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
@@ -351,9 +348,8 @@ type DatasetInfo struct {
 	Points int `json:"points"`
 	// Tombstones counts deleted-point slots still occupying ID space
 	// (mutable datasets never renumber); 0 for never-deleted datasets.
-	Tombstones int     `json:"tombstones,omitempty"`
-	Pages      int     `json:"pages"`
-	Skew       float64 `json:"skew"`
+	Tombstones int `json:"tombstones,omitempty"`
+	Pages      int `json:"pages"`
 	// Storage lists the node representations this dataset can serve
 	// (every ingest builds both the paged tree and its flat copy).
 	Storage []string `json:"storage"`
@@ -371,7 +367,6 @@ func datasetInfo(d *Dataset) DatasetInfo {
 		Points:     d.Live,
 		Tombstones: len(d.Points) - d.Live,
 		Pages:      d.Pages,
-		Skew:       d.Skew,
 		Storage:    storage,
 	}
 }

@@ -15,8 +15,8 @@ import (
 // a lock-cheap capped ring, optionally appended to a JSONL sink, and
 // queryable over GET /debug/queries. This is the recorded-observation
 // corpus the ROADMAP's fitted cost model trains from: each line pairs
-// what the planner believed (cardinalities, skew, chosen algo/storage/
-// workers, narrated reason) with what actually happened (wall time,
+// what the planner believed (cardinalities, chosen algo/storage/workers,
+// narrated reason) with what actually happened (wall time,
 // pages, logical reads, decode hits/misses, pairs emitted).
 
 // DefaultJournalEntries is the ring capacity of every service's journal;

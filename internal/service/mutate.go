@@ -76,7 +76,6 @@ func (s *Service) MutatePoints(name string, req MutationRequest) (*MutationRespo
 		Updated: len(spec.Update),
 		Deleted: len(spec.Delete),
 		Pages:   cur.Pages,
-		Skew:    cur.Skew,
 		Deltas:  deltas,
 	}
 	if n := len(spec.Insert); n > 0 {

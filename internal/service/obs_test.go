@@ -457,7 +457,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	if ex.Reason == "" {
 		t.Fatal("explain returned no reason")
 	}
-	if ex.Inputs.TotalPoints != 400 || ex.Inputs.GridSkewMax == 0 {
+	if ex.Inputs.TotalPoints != 400 || ex.Inputs.PointsPerWorker == 0 {
 		t.Fatalf("explain inputs = %+v", ex.Inputs)
 	}
 

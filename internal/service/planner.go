@@ -20,23 +20,6 @@ import (
 // stay serial because partitioning and merge overhead would dominate them.
 const autoPointsPerWorker = 25_000
 
-// autoGridSkewMax is the density gate of the serial-range auto plan: a
-// join goes to the in-memory grid backend only when BOTH datasets'
-// Poisson-normalized skew estimates (grid.SkewEstimate, ~1 for uniform
-// data, computed once at ingest) stay below this bound. Above it the
-// uniform tiling degenerates — single tiles hold thousands of points and
-// the per-tile loops go quadratic — so extremely skewed serial joins
-// route to NM-CIJ, whose R-tree adapts to density. The bound is
-// measurement-anchored (a grid-vs-NM wall-clock crossover at 0.2 scale on
-// a 1-CPU host, recorded when the grid backend was added): ordinary
-// clustered data (skew 10–20) beats NM on wall clock by 2–17×, while in
-// the point-mass series the advantage collapses (skew ≈ 45: only
-// 1.2–1.7×) and inverts at the largest size (skew ≈ 103: 0.72×, and
-// worsening with n as the hot tiles go quadratic). The gate sits below
-// the collapse, conservatively trading a mild win in the 33–45 band for
-// never landing in the inverted regime.
-const autoGridSkewMax = 32
-
 // Plan is a resolved execution strategy for one join query.
 type Plan struct {
 	// Algo is the concrete algorithm: "nm", "parallel" or "grid".
@@ -55,10 +38,10 @@ type Plan struct {
 // reason for its own choice, so the explanation the journal and
 // ?explain=1 report is the plan's own record, not a re-derivation.
 // Explicit choices are honored; "auto" (or empty) consults the dataset
-// cardinalities and density statistics: large joins go to the parallel
-// partitioned engine, small-to-medium joins go to the in-memory grid
-// backend when both inputs are near-uniform, and skewed serial joins fall
-// back to NM-CIJ.
+// cardinalities: large joins go to the parallel partitioned engine, an
+// explicit storage selects NM-CIJ, and every other join goes to the
+// in-memory grid backend, whose Delaunay walk costs the same at any
+// density.
 func plan(q Query, left, right *Dataset) (Explanation, error) {
 	stor, explicitStorage, err := normalizeStorage(q.Storage)
 	if err != nil {
@@ -86,14 +69,9 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 			// so algo-auto then restricts itself to the tree algorithms.
 			pl = Plan{Algo: "nm"}
 			reason = fmt.Sprintf("explicit storage %q restricts algo-auto to the tree algorithms; serial range selects NM-CIJ", stor)
-		case left.Skew <= autoGridSkewMax && right.Skew <= autoGridSkewMax:
-			pl = Plan{Algo: "grid"}
-			reason = fmt.Sprintf("serial-range join with near-uniform inputs (skew %.1f and %.1f, both <= %d) routes to the in-memory grid",
-				left.Skew, right.Skew, autoGridSkewMax)
 		default:
-			pl = Plan{Algo: "nm"}
-			reason = fmt.Sprintf("serial-range join too skewed for the grid (skew %.1f and %.1f vs gate %d) falls back to NM-CIJ",
-				left.Skew, right.Skew, autoGridSkewMax)
+			pl = Plan{Algo: "grid"}
+			reason = "serial-range join routes to the in-memory grid"
 		}
 	case "nm", "grid", "parallel":
 		pl = Plan{Algo: q.Algo}
@@ -135,9 +113,6 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 		LeftPoints:      left.Live,
 		RightPoints:     right.Live,
 		TotalPoints:     total,
-		LeftSkew:        left.Skew,
-		RightSkew:       right.Skew,
-		GridSkewMax:     autoGridSkewMax,
 		PointsPerWorker: autoPointsPerWorker,
 		MaxWorkers:      runtime.GOMAXPROCS(0),
 	}}, nil
@@ -283,17 +258,13 @@ func remapPairs(pairs []core.Pair, leftIDs, rightIDs []int64) {
 // PlanInputs are the decision inputs the planner consulted — everything a
 // client needs to reproduce (or argue with) the routing by hand.
 type PlanInputs struct {
-	LeftPoints  int     `json:"left_points"`
-	RightPoints int     `json:"right_points"`
-	TotalPoints int     `json:"total_points"`
-	LeftSkew    float64 `json:"left_skew"`
-	RightSkew   float64 `json:"right_skew"`
-	// GridSkewMax and PointsPerWorker are the planner's gates
-	// (autoGridSkewMax, autoPointsPerWorker); MaxWorkers is GOMAXPROCS at
-	// planning time.
-	GridSkewMax     float64 `json:"grid_skew_max"`
-	PointsPerWorker int     `json:"points_per_worker"`
-	MaxWorkers      int     `json:"max_workers"`
+	LeftPoints  int `json:"left_points"`
+	RightPoints int `json:"right_points"`
+	TotalPoints int `json:"total_points"`
+	// PointsPerWorker is the planner's gate (autoPointsPerWorker);
+	// MaxWorkers is GOMAXPROCS at planning time.
+	PointsPerWorker int `json:"points_per_worker"`
+	MaxWorkers      int `json:"max_workers"`
 }
 
 // Explanation is the planner's decision: the plan it executes, why, and

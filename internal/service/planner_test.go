@@ -14,21 +14,28 @@ import (
 	"cij/internal/geom"
 )
 
-// fakeDataset fabricates a registry entry with the given cardinality and
-// skew statistic; plan() reads nothing else.
-func fakeDataset(n int, skew float64) *Dataset {
-	return &Dataset{Points: dataset.Uniform(n, 7), Live: n, Skew: skew}
+// fakeDataset fabricates a registry entry over the given points; plan()
+// reads only its cardinality.
+func fakeDataset(pts []geom.Point) *Dataset {
+	return &Dataset{Points: pts, Live: len(pts)}
 }
 
 // TestPlanSelection covers every routing path of the auto planner plus
-// the explicit choices, including the new grid branches, and checks that
-// every branch narrates its choice. The planner only reads GOMAXPROCS, so
-// the test pins it: every branch, auto-parallel included, runs whatever
-// the host's core count.
+// the explicit choices, and checks that every branch narrates its choice.
+// Skewed inputs plan like uniform ones: the grid backend's cost does not
+// depend on density. The planner only reads GOMAXPROCS, so the test pins
+// it: every branch, auto-parallel included, runs whatever the host's core
+// count.
 func TestPlanSelection(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	uniform := func(n int) *Dataset { return fakeDataset(n, 1.0) }
-	skewed := func(n int) *Dataset { return fakeDataset(n, 2*autoGridSkewMax) }
+	uniform := func(n int) *Dataset { return fakeDataset(dataset.Uniform(n, 7)) }
+	skewed := func(n int) *Dataset { // every point on a 0.1-spaced lattice patch
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(5000+float64(i%50)*0.1, 5000+float64(i/50)*0.1)
+		}
+		return fakeDataset(pts)
+	}
 
 	cases := []struct {
 		name        string
@@ -37,9 +44,9 @@ func TestPlanSelection(t *testing.T) {
 		wantAlgo    string
 	}{
 		{"auto small uniform -> grid", Query{}, uniform(500), uniform(500), "grid"},
-		{"auto small left-skewed -> nm", Query{}, skewed(500), uniform(500), "nm"},
-		{"auto small right-skewed -> nm", Query{}, uniform(500), skewed(500), "nm"},
-		{"auto borderline skew -> grid", Query{}, fakeDataset(500, autoGridSkewMax), uniform(500), "grid"},
+		{"auto small left-skewed -> grid", Query{}, skewed(500), uniform(500), "grid"},
+		{"auto small right-skewed -> grid", Query{}, uniform(500), skewed(500), "grid"},
+		{"auto explicit storage -> nm", Query{Storage: "paged"}, skewed(500), skewed(500), "nm"},
 		{"auto explicit workers -> parallel", Query{Workers: 1}, uniform(100), uniform(100), "parallel"},
 		{"explicit grid on skewed data honored", Query{Algo: "grid"}, skewed(500), skewed(500), "grid"},
 		{"explicit nm honored", Query{Algo: "nm"}, uniform(100), uniform(100), "nm"},
@@ -75,56 +82,21 @@ func TestPlanSelection(t *testing.T) {
 	// With GOMAXPROCS pinned at 4, two datasets of 2·autoPointsPerWorker
 	// live points each size a four-worker pool: auto plans parallel.
 	big := uniform(2 * autoPointsPerWorker)
-	for _, d := range []*Dataset{big, fakeDataset(2*autoPointsPerWorker, 2*autoGridSkewMax)} {
+	for _, d := range []*Dataset{big, skewed(2 * autoPointsPerWorker)} {
 		ex, err := plan(Query{}, d, big)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Plan.Algo != "parallel" || ex.Reason == "" {
-			t.Errorf("auto large join planned %q (reason %q), want parallel (skew %.1f)", ex.Plan.Algo, ex.Reason, d.Skew)
+			t.Errorf("auto large join planned %q (reason %q), want parallel", ex.Plan.Algo, ex.Reason)
 		}
-	}
-}
-
-// TestIngestComputesSkew pins the ingest-time statistic the auto plan
-// routes on: near 1 for uniform data, between 1 and the gate for
-// ordinary clustered data (which the measurements say grid should still
-// take), far above the gate for a near-point-mass dataset.
-func TestIngestComputesSkew(t *testing.T) {
-	svc := New(Config{})
-	u, err := svc.Ingest("u", dataset.Uniform(5000, 91))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := svc.Ingest("c", dataset.Clustered(5000, 8, 92))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every point inside one tiny patch: the whole dataset lands in one
-	// histogram tile, the regime where the grid backend goes quadratic.
-	mass := make([]geom.Point, 5000)
-	for i := range mass {
-		mass[i] = geom.Pt(5000+float64(i%50)*0.1, 5000+float64(i/50)*0.1)
-	}
-	m, err := svc.Ingest("m", mass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Skew <= 0 || u.Skew > 2 {
-		t.Fatalf("uniform ingest skew %.2f, want ~1", u.Skew)
-	}
-	if c.Skew <= 2 || c.Skew > autoGridSkewMax {
-		t.Fatalf("clustered ingest skew %.2f, want in (2, %d]", c.Skew, autoGridSkewMax)
-	}
-	if m.Skew <= autoGridSkewMax {
-		t.Fatalf("point-mass ingest skew %.2f, want > %d", m.Skew, autoGridSkewMax)
 	}
 }
 
 // TestConcurrentAutoAndGridJoins drives the new planner paths (auto->grid
 // and explicit grid) from many goroutines against one service while a
 // writer re-ingests, so `go test -race` patrols the grid execution path
-// and the skew statistic's publication through the registry.
+// and the datasets' publication through the registry.
 func TestConcurrentAutoAndGridJoins(t *testing.T) {
 	svc := New(Config{CacheEntries: -1})
 	if _, err := svc.Ingest("p", dataset.Uniform(400, 71)); err != nil {

@@ -11,7 +11,6 @@ import (
 	"cij/internal/dataset"
 	"cij/internal/delta"
 	"cij/internal/geom"
-	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 )
@@ -53,10 +52,6 @@ type Dataset struct {
 	Pages int
 	// BufferPages is the LRU capacity each query view forks with.
 	BufferPages int
-	// Skew is the dataset's spatial-skew statistic (grid.SkewEstimate,
-	// ~1 for uniform data), computed once at ingest; the planner's auto
-	// mode reads it to decide whether a serial join is grid-friendly.
-	Skew float64
 }
 
 // View returns a read-only handle on the dataset's tree whose I/O goes
@@ -428,15 +423,12 @@ func (r *Registry) Install(p *PreparedMutation) (old, cur *Dataset, changes []de
 const buildBufferPages = 1 << 30
 
 // newDataset completes a Dataset around its freshly built tree: it
-// cold-starts the tree's buffer at serving size, freezes the flat copy
-// and computes the skew statistic over the live points. Ingest, mutation
-// and restore all finish their datasets here.
+// cold-starts the tree's buffer at serving size and freezes the flat
+// copy. Ingest, mutation and restore all finish their datasets here.
 func newDataset(d *Dataset, bufferPct float64) *Dataset {
 	d.Pages = d.Tree.NumPages()
 	d.BufferPages = coldBuffer(d.Tree.Buffer(), d.Pages, bufferPct)
 	d.FlatTree = d.Tree.Freeze()
-	livePts, _ := d.JoinPoints()
-	d.Skew = grid.SkewEstimate(livePts, dataset.Domain)
 	return d
 }
 

@@ -166,10 +166,14 @@ func (s *Service) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // handleJoin is the buffered join: the full response (pairs capped at
 // TopK) in one JSON body. ?explain=1 short-circuits to the planner — the
 // response is the Explanation (plan, reason, decision inputs) and nothing
-// executes.
+// executes. Any field JoinRequest does not name is a 400 naming it, so a
+// misspelled field cannot run a different plan than the client asked
+// for.
 func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJoinBodyBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJoinBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, bodyErrorStatus(err), "bad join request: %v", err)
 		return
 	}

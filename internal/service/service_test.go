@@ -211,6 +211,31 @@ func TestRemovedAlgosRejected(t *testing.T) {
 	}
 }
 
+// TestJoinRejectsUnknownFields: a misspelled field in a join body is a
+// 400 naming it, on the buffered and the explain-only route, instead of a
+// join that runs without the setting the client meant.
+func TestJoinRejectsUnknownFields(t *testing.T) {
+	p, q := dataset.Uniform(100, 17), dataset.Uniform(100, 18)
+	svc, _ := newTestServer(t, service.Config{}, p, q)
+	h := svc.Handler()
+	for _, target := range []string{"/join", "/join?explain=1"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(misspelledJoinBody)))
+		var e struct{ Error string }
+		json.NewDecoder(rec.Body).Decode(&e)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `"storge"`) {
+			t.Errorf("POST %s: status %d, error %q; want 400 naming \"storge\"", target, rec.Code, e.Error)
+		}
+	}
+	if got := svc.StatsSnapshot().JoinsServed; got != 0 {
+		t.Fatalf("rejected requests served %d joins", got)
+	}
+}
+
+// misspelledJoinBody asks for NM on paged storage with "storage"
+// misspelled.
+const misspelledJoinBody = `{"left":"p","right":"q","algo":"nm","storge":"paged","topk":1}`
+
 // TestStreamParallelProgress checks that the parallel plan streams live
 // progress lines (the exported OnProgress hook end to end).
 func TestStreamParallelProgress(t *testing.T) {
@@ -612,7 +637,7 @@ func serveBelow500(t *testing.T, h http.Handler, method, path, rawQuery string, 
 // string (explain=1 among them), and whatever query string GET
 // /join/stream gets, the handlers answer below 500. Seeded with the
 // query shapes of TestPlanSelection, the algorithms the service no
-// longer runs, and both storage modes.
+// longer runs, both storage modes and a misspelled field.
 func FuzzJoinRequest(f *testing.F) {
 	h := fuzzService(f).Handler()
 	for _, req := range []service.JoinRequest{
@@ -631,6 +656,8 @@ func FuzzJoinRequest(f *testing.F) {
 		f.Add(body, "", stream.Encode())
 		f.Add(body, "explain=1", stream.Encode())
 	}
+	f.Add([]byte(misspelledJoinBody), "", "")
+	f.Add([]byte(misspelledJoinBody), "explain=1", "")
 	f.Fuzz(func(t *testing.T, body []byte, query, streamQuery string) {
 		serveBelow500(t, h, http.MethodPost, "/join", query, body)
 		serveBelow500(t, h, http.MethodGet, "/join/stream", streamQuery, nil)

@@ -305,8 +305,6 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 			LeftPoints:  ld.Live,
 			RightPoints: rd.Live,
 			TotalPoints: ld.Live + rd.Live,
-			LeftSkew:    ld.Skew,
-			RightSkew:   rd.Skew,
 		},
 	}, nil, 0)
 	s.logger.Info("delta computed",

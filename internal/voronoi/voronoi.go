@@ -49,10 +49,9 @@ type Cell struct {
 // the per-vertex scan is skipped entirely.
 //
 // The predicate is exported because it is the correctness foundation of
-// every cell computation in this module: the R-tree traversals here prune
-// with it, and the uniform-grid backend (internal/grid) applies the same
-// test to grid tiles and their points, so both architectures skip exactly
-// the same class of non-refining sites.
+// every tree-driven cell computation in this module: the R-tree
+// traversals here prune with it, and NM-CIJ's refinement step
+// (internal/core) skips non-refining candidates with the same test.
 func CanRefinePoint(vertices []geom.Point, pi, pj geom.Point, rad2 float64) bool {
 	if pi.Dist2(pj) >= 4*rad2 {
 		return false
@@ -74,10 +73,9 @@ func CanRefinePoint(vertices []geom.Point, pi, pj geom.Point, rad2 float64) bool
 }
 
 // CanRefineMBR is the rectangle form of the test (Lemma 2): a point inside
-// rectangle r — an R-tree entry's MBR, or a grid tile — could refine the
-// cell iff some vertex γ has mindist(r, γ) < dist(γ, pi). The same
-// triangle-inequality prefilter applies with mindist(r, pi) in place of
-// dist(pi, pj).
+// rectangle r (an R-tree entry's MBR) could refine the cell iff some
+// vertex γ has mindist(r, γ) < dist(γ, pi). The same triangle-inequality
+// prefilter applies with mindist(r, pi) in place of dist(pi, pj).
 func CanRefineMBR(vertices []geom.Point, pi geom.Point, r geom.Rect, rad2 float64) bool {
 	if r.MinDist2(pi) >= 4*rad2 {
 		return false
