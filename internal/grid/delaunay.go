@@ -9,8 +9,8 @@ import (
 )
 
 // triangulation is the Delaunay triangulation of one operand's distinct
-// points plus four sentinels, and the Delaunay graph on its real vertices
-// that the join walks.
+// points plus four sentinels: the build state NewGraph lays a Graph out
+// from and then drops.
 //
 // Triangle t owns half-edges 3t, 3t+1 and 3t+2, counter-clockwise;
 // half-edge e runs from vertex tri[e] to the origin of the next half-edge
@@ -26,13 +26,8 @@ type triangulation struct {
 	members     []int32
 	memberStart []int32
 	tri, twin   []int32
-	// adj lists the real Delaunay neighbours of real vertex v in
-	// adj[adjStart[v]:adjStart[v+1]]; edges to sentinels are dropped.
-	adj      []int32
-	adjStart []int32
-	ring     []int32 // the next vertex of v's near-twin cluster, a cycle (see buildGraph)
-	last     int32   // the last triangle created, where the next walk starts
-	stack    []int32 // half-edges awaiting the Delaunay check
+	last        int32   // the last triangle created, where the next walk starts
+	stack       []int32 // half-edges awaiting the Delaunay check
 }
 
 // next and prev step around the triangle of half-edge e.
@@ -72,7 +67,6 @@ func triangulate(pts []geom.Point, domain geom.Rect) *triangulation {
 		}
 		t.legalize()
 	}
-	t.buildGraph()
 	return t
 }
 
@@ -221,70 +215,86 @@ func (t *triangulation) legalize() {
 	}
 }
 
-// buildGraph lays out the real vertices' Delaunay neighbours (every edge
+// graph lays out the real vertices' Delaunay neighbours (every edge
 // between real vertices is interior, so each has one outgoing half-edge
 // per neighbour) and rings each near-twin cluster: a component of the
 // Delaunay edges under 3·Eps in both coordinates, which holds every path
-// of sites Eq to one site.
-func (t *triangulation) buildGraph() {
-	t.adjStart = make([]int32, t.n+1)
+// of sites Eq to one site. The graph shares t's vertices and member
+// lists, and none of its triangles.
+func (t *triangulation) graph() *Graph {
+	g := &Graph{
+		verts:       t.verts[:t.n],
+		n:           t.n,
+		members:     t.members,
+		memberStart: t.memberStart,
+		adjStart:    make([]int32, t.n+1),
+		ring:        make([]int32, t.n),
+	}
 	for e := range t.tri {
 		if u, w := t.tri[e], t.tri[next(int32(e))]; u < t.n && w < t.n {
-			t.adjStart[u+1]++
+			g.adjStart[u+1]++
 		}
 	}
-	t.ring = make([]int32, t.n)
 	for v := int32(1); v <= t.n; v++ {
-		t.adjStart[v] += t.adjStart[v-1]
-		t.ring[v-1] = v - 1
+		g.adjStart[v] += g.adjStart[v-1]
+		g.ring[v-1] = v - 1
 	}
-	t.adj = make([]int32, t.adjStart[t.n])
-	fill := slices.Clone(t.adjStart[:t.n])
+	g.adj = make([]int32, g.adjStart[t.n])
+	fill := slices.Clone(g.adjStart[:t.n])
 	for e := range t.tri {
 		if u, w := t.tri[e], t.tri[next(int32(e))]; u < t.n && w < t.n {
-			t.adj[fill[u]] = w
+			g.adj[fill[u]] = w
 			fill[u]++
 			if d := t.verts[w].Sub(t.verts[u]); math.Abs(d.X) < 3*geom.Eps && math.Abs(d.Y) < 3*geom.Eps {
-				x := t.ring[u]
+				x := g.ring[u]
 				for x != u && x != w {
-					x = t.ring[x]
+					x = g.ring[x]
 				}
 				if x == u { // w is on another ring: splice the two
-					t.ring[u], t.ring[w] = t.ring[w], t.ring[u]
+					g.ring[u], g.ring[w] = g.ring[w], g.ring[u]
 				}
 			}
 		}
 	}
+	return g
 }
 
 // neighbors returns the real Delaunay neighbours of real vertex v.
-func (t *triangulation) neighbors(v int32) []int32 {
-	return t.adj[t.adjStart[v]:t.adjStart[v+1]]
+func (g *Graph) neighbors(v int32) []int32 {
+	return g.adj[g.adjStart[v]:g.adjStart[v+1]]
 }
 
 // membersOf returns the input indices merged into vertex v.
-func (t *triangulation) membersOf(v int32) []int32 {
-	return t.members[t.memberStart[v]:t.memberStart[v+1]]
+func (g *Graph) membersOf(v int32) []int32 {
+	return g.members[g.memberStart[v]:g.memberStart[v+1]]
+}
+
+// id returns the ID that input index i reports in pairs.
+func (g *Graph) id(i int32) int64 {
+	if g.ids == nil {
+		return int64(i)
+	}
+	return g.ids[i]
 }
 
 // cell computes the cell of real vertex v as voronoi.BruteCell defines it:
 // the domain clipped by the bisector of every site not within Eps of v,
 // of which only the neighbours of the Eq sites of v's cluster can cut it
 // (see the package comment). The result follows cl's aliasing contract.
-func (t *triangulation) cell(cl *geom.Clipper, v int32, domain geom.Rect) geom.Polygon {
-	poly := cl.Seed(domain)
-	site := t.verts[v]
+func (g *Graph) cell(cl *geom.Clipper, v int32) geom.Polygon {
+	poly := cl.Seed(g.domain)
+	site := g.verts[v]
 	for u := v; ; {
-		if t.verts[u].Eq(site) {
-			for _, w := range t.neighbors(u) {
-				if s := t.verts[w]; !s.Eq(site) {
+		if g.verts[u].Eq(site) {
+			for _, w := range g.neighbors(u) {
+				if s := g.verts[w]; !s.Eq(site) {
 					if poly = cl.Clip(poly, geom.Bisector(site, s)); poly.IsEmpty() {
 						return poly
 					}
 				}
 			}
 		}
-		if u = t.ring[u]; u == v {
+		if u = g.ring[u]; u == v {
 			return poly
 		}
 	}
@@ -295,17 +305,17 @@ func (t *triangulation) cell(cl *geom.Clipper, v int32, domain geom.Rect) geom.P
 // current vertex's cluster while one is strictly closer (near-twins tie in
 // floats). For x in domain ∪ bbox a sentinel is never closer than the best
 // real site, so the graph without sentinels routes too.
-func (t *triangulation) nearest(from int32, x geom.Point) int32 {
-	cur, best := from, t.verts[from].Dist2(x)
+func (g *Graph) nearest(from int32, x geom.Point) int32 {
+	cur, best := from, g.verts[from].Dist2(x)
 	for {
 		step := int32(-1)
 		for u := cur; ; {
-			for _, w := range t.neighbors(u) {
-				if d := t.verts[w].Dist2(x); d < best {
+			for _, w := range g.neighbors(u) {
+				if d := g.verts[w].Dist2(x); d < best {
 					best, step = d, w
 				}
 			}
-			if u = t.ring[u]; u == cur {
+			if u = g.ring[u]; u == cur {
 				break
 			}
 		}

@@ -12,12 +12,16 @@ var (
 	IncircleExact = incircleExact
 )
 
-// Triangulation is a read-only view of a triangulation for structural
-// checks.
-type Triangulation struct{ t *triangulation }
+// Triangulation is a read-only view of a triangulation and the graph
+// laid out from it, for structural checks.
+type Triangulation struct {
+	t *triangulation
+	g *Graph
+}
 
 func Triangulate(pts []geom.Point, domain geom.Rect) Triangulation {
-	return Triangulation{triangulate(pts, domain)}
+	t := triangulate(pts, domain)
+	return Triangulation{t, t.graph()}
 }
 
 // Verts returns the vertices: the real ones first, then the sentinels.
@@ -31,7 +35,7 @@ func (tr Triangulation) Tri() []int32  { return tr.t.tri }
 func (tr Triangulation) Twin() []int32 { return tr.t.twin }
 
 // Members returns the input indices merged into real vertex v.
-func (tr Triangulation) Members(v int) []int32 { return tr.t.membersOf(int32(v)) }
+func (tr Triangulation) Members(v int) []int32 { return tr.g.membersOf(int32(v)) }
 
 // Neighbors returns the real Delaunay neighbours of real vertex v.
-func (tr Triangulation) Neighbors(v int) []int32 { return tr.t.neighbors(int32(v)) }
+func (tr Triangulation) Neighbors(v int) []int32 { return tr.g.neighbors(int32(v)) }

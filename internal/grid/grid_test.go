@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"cij/internal/core"
@@ -143,6 +145,88 @@ func TestLatticeStress(t *testing.T) {
 	}
 }
 
+// TestGraphReportsIDs: a graph built with an ID table reports each
+// point's pairs under its ID, and identical points under each of theirs.
+func TestGraphReportsIDs(t *testing.T) {
+	p := dataset.Uniform(200, 31)
+	p = append(p, p[3])
+	q := dataset.Uniform(150, 32)
+	ids := make([]int64, len(p))
+	for i := range ids {
+		ids[i] = 1000 + 3*int64(i)
+	}
+	want := Join(p, q, dataset.Domain, DefaultOptions()).Pairs
+	for i := range want {
+		want[i].P = ids[want[i].P]
+	}
+	got := JoinGraphs(NewGraph(p, ids, dataset.Domain), NewGraph(q, nil, dataset.Domain), DefaultOptions()).Pairs
+	requireSamePairs(t, "ID table", got, want)
+}
+
+// TestGraphSharedAcrossJoins joins one graph as P and as Q against
+// several partners, one goroutine per join, all released at once; every
+// result must equal a fresh Join's. Under the race detector it catches any
+// write a join makes to a graph it shares. The shared set holds a
+// duplicate and a near-twin block, so member lists and rings are read too.
+func TestGraphSharedAcrossJoins(t *testing.T) {
+	shared := dataset.Clustered(400, 6, 81)
+	shared = append(shared, shared[7])
+	for i := range 9 {
+		shared = append(shared, geom.Pt(4321+float64(i%3)*1e-9, 6789+float64(i/3)*1e-9))
+	}
+	g := NewGraph(shared, nil, dataset.Domain)
+	type run struct {
+		p, q   []geom.Point
+		gp, gq *Graph
+	}
+	var runs []run
+	for _, pts := range [][]geom.Point{dataset.Uniform(300, 82), dataset.Clustered(350, 4, 83), shared} {
+		other := NewGraph(pts, nil, dataset.Domain)
+		runs = append(runs, run{shared, pts, g, other}, run{pts, shared, other, g})
+	}
+	got := make([][]core.Pair, len(runs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// Repeated rounds keep the joins overlapping: with one round,
+			// a write planted in nearest() went unreported in 1 of 8
+			// race-detector runs.
+			for range 3 {
+				got[i] = JoinGraphs(r.gp, r.gq, DefaultOptions()).Pairs
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range runs {
+		requireSamePairs(t, fmt.Sprintf("run %d", i), got[i], Join(r.p, r.q, dataset.Domain, DefaultOptions()).Pairs)
+	}
+}
+
+// TestGraphFootprint sums the capacities of every slice a 10k-uniform
+// graph holds: at most 64 B per point, so a graph cannot keep its
+// triangles and half-edges (48 B per point) or the build stack by
+// accident.
+func TestGraphFootprint(t *testing.T) {
+	const n = 10000
+	v := reflect.ValueOf(NewGraph(dataset.Uniform(n, 1), nil, dataset.Domain)).Elem()
+	bytes := 0
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			bytes += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	per := float64(bytes) / n
+	if per > 64 {
+		t.Fatalf("graph holds %.1f B per point, want at most 64", per)
+	}
+	t.Logf("graph holds %.1f B per point", per)
+}
+
 func TestSkewEstimate(t *testing.T) {
 	uni := SkewEstimate(dataset.Uniform(20000, 9), dataset.Domain)
 	if uni > 1.5 {
@@ -184,5 +268,16 @@ func BenchmarkGridJoinUniform(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Join(p, q, dataset.Domain, opts)
+	}
+}
+
+// BenchmarkGridJoinGraphs is BenchmarkGridJoinUniform with both graphs
+// built before the timer starts: the join of two stored graphs.
+func BenchmarkGridJoinGraphs(b *testing.B) {
+	p := NewGraph(dataset.Uniform(20000, 1), nil, dataset.Domain)
+	q := NewGraph(dataset.Uniform(20000, 2), nil, dataset.Domain)
+	b.ReportAllocs()
+	for b.Loop() {
+		JoinGraphs(p, q, Options{})
 	}
 }

@@ -18,9 +18,9 @@ type qCells struct {
 }
 
 // get returns Q vertex v's cell and MBR, computing them on first use.
-func (c *qCells) get(t *triangulation, v int32, domain geom.Rect) (geom.Polygon, geom.Rect) {
+func (c *qCells) get(q *Graph, v int32) (geom.Polygon, geom.Rect) {
 	if c.poly[v].V == nil {
-		vs := t.cell(&c.cl, v, domain).V
+		vs := q.cell(&c.cl, v).V
 		n := len(c.arena)
 		c.arena = append(c.arena, vs...)
 		poly := geom.Polygon{V: c.arena[n:len(c.arena):len(c.arena)]}
@@ -36,7 +36,7 @@ func (c *qCells) get(t *triangulation, v int32, domain geom.Rect) (geom.Polygon,
 // misses cell(p)'s is skipped, any other is tested and its neighbours and
 // near-twins queued whether or not it joined (the package comment says
 // why this reaches every overlapping cell).
-func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Result) {
+func flood(tp, tq *Graph, opts Options, res *core.Result) {
 	qc := qCells{
 		poly:   make([]geom.Polygon, tq.n),
 		bounds: make([]geom.Rect, tq.n),
@@ -53,7 +53,7 @@ func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Resu
 	var cp, cj geom.Clipper
 	near := int32(0)
 	for v := int32(0); v < tp.n; v++ {
-		pc := tp.cell(&cp, v, domain)
+		pc := tp.cell(&cp, v)
 		res.Stats.PCellsComputed++
 		if pc.IsEmpty() {
 			continue
@@ -62,7 +62,7 @@ func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Resu
 		// The site is in its own cell unless it lies outside the domain;
 		// then any vertex of the clipped cell serves as the target.
 		target := tp.verts[v]
-		if !domain.Contains(target) {
+		if !tp.domain.Contains(target) {
 			target = pc.V[0]
 		}
 		near = tq.nearest(near, target)
@@ -71,14 +71,14 @@ func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Resu
 		push(near, v)
 		for h := 0; h < len(queue); h++ {
 			u := queue[h]
-			poly, qb := qc.get(tq, u, domain)
+			poly, qb := qc.get(tq, u)
 			if !pb.Intersects(qb) {
 				continue
 			}
 			res.Stats.Candidates++
 			if core.CellsJoinWith(&cj, pc, poly) {
 				res.Stats.TrueHits++
-				emit(tp.membersOf(v), tq.membersOf(u), opts, res)
+				emit(tp, tq, v, u, opts, res)
 			}
 			for _, w := range tq.neighbors(u) {
 				push(w, v)
@@ -91,12 +91,12 @@ func flood(tp, tq *triangulation, domain geom.Rect, opts Options, res *core.Resu
 	}
 }
 
-// emit reports a joined cell pair as one pair per merged input point on
-// each side.
-func emit(ps, qs []int32, opts Options, res *core.Result) {
-	for _, a := range ps {
-		for _, b := range qs {
-			pair := core.Pair{P: int64(a), Q: int64(b)}
+// emit reports the joined cells of P vertex v and Q vertex u as one pair
+// per merged input point on each side, under the points' IDs.
+func emit(tp, tq *Graph, v, u int32, opts Options, res *core.Result) {
+	for _, a := range tp.membersOf(v) {
+		for _, b := range tq.membersOf(u) {
+			pair := core.Pair{P: tp.id(a), Q: tq.id(b)}
 			if opts.CollectPairs {
 				res.Pairs = append(res.Pairs, pair)
 			}

@@ -51,7 +51,7 @@ func statsFromIO(io storage.Stats, wall time.Duration) JoinStatsJSON {
 }
 
 // TraceSpanJSON is one phase span of a traced join: phase name, optional
-// tag (worker id, tile coordinate), wall-clock share and the counters the
+// tag (worker id, grid operand), wall-clock share and the counters the
 // phase moved.
 type TraceSpanJSON struct {
 	Phase string `json:"phase"`

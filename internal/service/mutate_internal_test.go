@@ -5,9 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cij/internal/core"
+	"cij/internal/dataset"
+	"cij/internal/grid"
 	"cij/internal/obs"
 	"cij/internal/storage"
 )
@@ -115,4 +119,54 @@ func grepMetric(body, name string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestLazyGraphOnce: of concurrent callers exactly one runs the build and
+// is told so, and all get its graph; a build that panics panics again for
+// every later caller, which never sees a half-built graph.
+func TestLazyGraphOnce(t *testing.T) {
+	var l lazyGraph
+	var builds, toldBuilt atomic.Int32
+	graphs := make([]*grid.Graph, 8)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, built := l.get(func() *grid.Graph {
+				builds.Add(1)
+				return grid.NewGraph(dataset.Uniform(50, 1), nil, dataset.Domain)
+			})
+			if built {
+				toldBuilt.Add(1)
+			}
+			graphs[i] = g
+		}()
+	}
+	wg.Wait()
+	if builds.Load() != 1 || toldBuilt.Load() != 1 {
+		t.Fatalf("%d builds, %d callers told they built, want 1 and 1", builds.Load(), toldBuilt.Load())
+	}
+	for _, g := range graphs {
+		if g == nil || g != graphs[0] {
+			t.Fatal("callers got different graphs")
+		}
+	}
+
+	var failed lazyGraph
+	for i := range 2 {
+		func() {
+			defer func() {
+				if r := recover(); r != "half-built" {
+					t.Fatalf("call %d recovered %v, want the build's panic", i, r)
+				}
+			}()
+			failed.get(func() *grid.Graph {
+				if i > 0 {
+					t.Error("a failed build ran again")
+				}
+				panic("half-built")
+			})
+		}()
+	}
 }

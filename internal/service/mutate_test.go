@@ -97,6 +97,14 @@ func TestMutateAlgosAgreeAfterMutation(t *testing.T) {
 	p, q := dataset.Uniform(250, 101), dataset.Uniform(250, 102)
 	svc, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
 
+	// A grid join of version 1 first, so its graph exists when version 2
+	// is joined.
+	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid", Trace: true})
+	if got := triangulated(t, jr); got["p"] != 250 || got["q"] != 250 {
+		t.Fatalf("version 1 join triangulated %v, want p and q once each", got)
+	}
+	sameSet(t, "version 1 grid", pairSet(jr.Pairs), serialReference(t, p, q))
+
 	m := newMirror(p)
 	req := service.MutationRequest{
 		Insert: []service.PointJSON{{X: 123, Y: 456}, {X: 5000, Y: 5000}, {X: 9999, Y: 1}},
@@ -120,13 +128,18 @@ func TestMutateAlgosAgreeAfterMutation(t *testing.T) {
 
 	want := m.brute(q)
 	for _, algo := range []string{"nm", "parallel", "grid"} {
-		jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: algo, Workers: 2})
+		jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: algo, Workers: 2, Trace: true})
 		sameSet(t, "post-mutation "+algo, pairSet(jr.Pairs), want)
 		if jr.LeftVersion != 2 {
 			t.Fatalf("%s: left version %d, want 2", algo, jr.LeftVersion)
 		}
+		// Version 2 builds its own graph over its 249 live points; q's
+		// version 1 graph is reused.
+		if got := triangulated(t, jr); algo == "grid" && (got["p"] != 249 || got["q"] != 0) {
+			t.Fatalf("version 2 grid join triangulated %v, want p's 249 live points and nothing of q", got)
+		}
 	}
-	// Streamed pairs remap identically (the OnPair hook path).
+	// Streamed pairs carry the same original IDs (the OnPair hook path).
 	got, _, _ := streamJoin(t, ts, "left=p&right=q&algo=grid")
 	sameSet(t, "post-mutation grid stream", got, want)
 

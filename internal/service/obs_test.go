@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cij/internal/core"
 	"cij/internal/dataset"
 	"cij/internal/obs"
 	"cij/internal/service"
@@ -129,6 +130,58 @@ func TestTraceSumsToResponseStatsFlat(t *testing.T) {
 		if jr.Stats.LogicalReads == 0 || jr.Stats.DecodeHits != jr.Stats.LogicalReads {
 			t.Fatalf("%s flat run's reads are not all decode-free hits: %+v", algo, jr.Stats)
 		}
+	}
+}
+
+// triangulated returns, by operand tag, the Items of a traced join's
+// "triangulate" spans: the points the request triangulated for each
+// operand's graph.
+func triangulated(t *testing.T, jr service.JoinResponse) map[string]int64 {
+	t.Helper()
+	if jr.Trace == nil {
+		t.Fatal("trace requested but response has no trace block")
+	}
+	got := make(map[string]int64)
+	for _, sp := range jr.Trace.Spans {
+		if sp.Phase == "triangulate" {
+			got[sp.Tag] += sp.Items
+		}
+	}
+	return got
+}
+
+// TestGridGraphsBuiltOnce tells cold grid joins from warm ones by their
+// traces. With the result cache off, p⋈q, p⋈q again and q⋈p all compute
+// and return the same pairs, but only the first triangulates (Items |p|
+// and |q| in its "triangulate" spans); the other two reuse the stored
+// graphs, in either operand role, and carry 0.
+func TestGridGraphsBuiltOnce(t *testing.T) {
+	p, q := dataset.Uniform(300, 141), dataset.Clustered(250, 5, 142)
+	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	want := serialReference(t, p, q)
+	for i, tc := range []struct {
+		left, right string
+		want        map[string]int64
+	}{
+		{"p", "q", map[string]int64{"p": 300, "q": 250}},
+		{"p", "q", map[string]int64{"p": 0, "q": 0}},
+		{"q", "p", map[string]int64{"p": 0, "q": 0}},
+	} {
+		jr := postJoin(t, ts, service.JoinRequest{Left: tc.left, Right: tc.right, Algo: "grid", Trace: true})
+		if jr.Cached {
+			t.Fatalf("join %d served from the cache", i)
+		}
+		if got := triangulated(t, jr); len(got) != 2 || got["p"] != tc.want["p"] || got["q"] != tc.want["q"] {
+			t.Fatalf("join %d (%s⋈%s) triangulated %v, want %v", i, tc.left, tc.right, got, tc.want)
+		}
+		pairs := pairSet(jr.Pairs)
+		if tc.left == "q" {
+			pairs = make(map[core.Pair]bool, len(jr.Pairs))
+			for _, pr := range jr.Pairs {
+				pairs[core.Pair{P: pr.Q, Q: pr.P}] = true
+			}
+		}
+		sameSet(t, fmt.Sprintf("join %d (%s⋈%s)", i, tc.left, tc.right), pairs, want)
 	}
 }
 

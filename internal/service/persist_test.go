@@ -210,10 +210,12 @@ func TestDurableCrashRecoversAcknowledged(t *testing.T) {
 
 	// The recovered dataset must join exactly like the oracle says.
 	pairs, _ := joinNM(t, s2, "p", "q")
-	pp, pids := gotP.JoinPoints()
-	qq, qids := s2.mustGet(t, "q").JoinPoints()
+	pp, pids := gotP.JoinPoints() // p saw deletes, so pids maps positions to IDs
+	qq, _ := s2.mustGet(t, "q").JoinPoints()
 	oracle := core.BruteCIJ(pp, qq, dataset.Domain)
-	remapPairs(oracle, pids, qids)
+	for i := range oracle {
+		oracle[i].P = pids[oracle[i].P]
+	}
 	oracle = sortedPairs(oracle)
 	if len(pairs) != len(oracle) {
 		t.Fatalf("recovered join found %d pairs, oracle %d", len(pairs), len(oracle))

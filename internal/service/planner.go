@@ -29,7 +29,8 @@ type Plan struct {
 	// Storage is the node representation the tree algorithms read:
 	// "flat" (arena-resident, decode-free, zero page I/O) or "paged"
 	// (the paper's LRU-buffered disk format). Empty for the grid
-	// backend, which indexes nothing.
+	// backend, which reads no tree: its index is each dataset version's
+	// Delaunay graph, built on the version's first grid join.
 	Storage string `json:"storage,omitempty"`
 }
 
@@ -89,12 +90,12 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 		return Explanation{}, fmt.Errorf("unknown algo %q (want nm, parallel, grid or auto)", q.Algo)
 	}
 
-	// The storage decision. The grid backend indexes nothing and carries
-	// no storage; NM and parallel read either representation.
+	// The storage decision. The grid backend reads no tree and carries no
+	// storage; NM and parallel read either representation.
 	switch {
 	case pl.Algo == "grid":
 		if explicitStorage {
-			return Explanation{}, fmt.Errorf("storage %q does not apply to the grid backend (it joins raw pointsets, no tree)", stor)
+			return Explanation{}, fmt.Errorf("storage %q does not apply to the grid backend (it joins Delaunay graphs, no tree)", stor)
 		}
 	case stor == "flat":
 		pl.Storage = "flat"
@@ -158,7 +159,7 @@ type execHooks struct {
 
 // execute runs the planned join and returns the full result with its cost.
 // NM and parallel runs read the registry trees through per-request buffer
-// views and the grid reads the raw point arrays, so no plan writes a page:
+// views and the grid reads the versions' graphs, so no plan writes a page:
 // the registry's dataset disks stay strictly read-only after build, which
 // is what makes concurrent queries safe. tr is threaded into the engine so
 // its spans cover every phase; the eviction metric hook rides the same
@@ -169,21 +170,15 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 	var io storage.Stats
 	switch pl.Algo {
 	case "grid":
-		// The in-memory backend joins the raw pointsets: no tree view, no
-		// buffer fork, no pages — its physical I/O is genuinely zero. It
-		// consumes dense slices whose positions double as IDs, so mutated
-		// datasets hand it the live compaction and the emitted pairs are
-		// remapped back to original IDs — the tree algorithms need neither
-		// (registry trees index live points under their original IDs
-		// already). For never-deleted datasets JoinPoints returns nil id
-		// tables and the remap is free.
-		leftPts, leftIDs := left.JoinPoints()
-		rightPts, rightIDs := right.JoinPoints()
+		// The in-memory backend joins the versions' Delaunay graphs: no
+		// tree view, no buffer fork, no pages. The first grid join that
+		// needs a version's graph builds it, here inside its admission
+		// slot; later joins of the version reuse it in either role. The
+		// graphs report original IDs, tombstoned versions included.
 		opts := grid.DefaultOptions()
-		opts.OnPair = remapOnPair(hooks.onPair, leftIDs, rightIDs)
+		opts.OnPair = hooks.onPair
 		opts.Trace = tr
-		res = grid.Join(leftPts, rightPts, dataset.Domain, opts)
-		remapPairs(res.Pairs, leftIDs, rightIDs)
+		res = grid.JoinGraphs(graphOf(left, "p", tr), graphOf(right, "q", tr), opts)
 	case "nm":
 		rp, rq := left.StorageView(pl.Storage), right.StorageView(pl.Storage)
 		rp.Buffer().SetOnEvict(s.metrics.onEvict)
@@ -221,38 +216,15 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 	}
 }
 
-// remapOnPair wraps a streaming pair callback so grid runs over compacted
-// live slices emit original point IDs. Dense datasets pass through
-// untouched.
-func remapOnPair(onPair func(core.Pair), leftIDs, rightIDs []int64) func(core.Pair) {
-	if onPair == nil || (leftIDs == nil && rightIDs == nil) {
-		return onPair
-	}
-	return func(p core.Pair) { onPair(remapPair(p, leftIDs, rightIDs)) }
-}
-
-// remapPair translates one compacted-index pair back to original IDs.
-func remapPair(p core.Pair, leftIDs, rightIDs []int64) core.Pair {
-	if leftIDs != nil {
-		p.P = leftIDs[p.P]
-	}
-	if rightIDs != nil {
-		p.Q = rightIDs[p.Q]
-	}
-	return p
-}
-
-// remapPairs translates a result's pair list in place; a no-op for dense
-// datasets (nil id tables). Pairs stay sorted: the id tables are built
-// in ascending ID order, so the remap is strictly monotone in each
-// coordinate.
-func remapPairs(pairs []core.Pair, leftIDs, rightIDs []int64) {
-	if leftIDs == nil && rightIDs == nil {
-		return
-	}
-	for i := range pairs {
-		pairs[i] = remapPair(pairs[i], leftIDs, rightIDs)
-	}
+// graphOf returns d's graph and traces this request's share of it as the
+// operand's "triangulate" span: the wall time spent building the graph or
+// waiting for a concurrent build (~0 on reuse), and as Items the points
+// this request triangulated (0 unless it built the graph).
+func graphOf(d *Dataset, operand string, tr *obs.Trace) *grid.Graph {
+	start := time.Now()
+	g, triangulated := d.Graph()
+	tr.Add("triangulate", operand, time.Since(start), obs.Counters{Items: int64(triangulated)})
+	return g
 }
 
 // PlanInputs are the decision inputs the planner consulted — everything a

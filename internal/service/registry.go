@@ -11,6 +11,7 @@ import (
 	"cij/internal/dataset"
 	"cij/internal/delta"
 	"cij/internal/geom"
+	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 )
@@ -24,11 +25,13 @@ type Point = geom.Point
 var nameRe = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
 // Dataset is one registered pointset: the points, the R-tree built over
-// them at ingest time, and the private disk+buffer the tree lives on. A
-// Dataset is immutable after construction — replacing a name installs a
-// new Dataset value (re-ingest) or a copy-on-write successor (Mutate) —
-// so any number of queries may hold and read one concurrently through
-// forked buffer views, even while the next version is being built.
+// them at ingest time, the private disk+buffer the tree lives on, and the
+// Delaunay graph its first grid join builds. A Dataset is immutable after
+// construction, apart from that one-time build — replacing a name
+// installs a new Dataset value (re-ingest) or a copy-on-write successor
+// (Mutate) — so any number of queries may hold and read one concurrently
+// through forked buffer views, even while the next version is being
+// built.
 type Dataset struct {
 	Name    string
 	Version int
@@ -52,6 +55,10 @@ type Dataset struct {
 	Pages int
 	// BufferPages is the LRU capacity each query view forks with.
 	BufferPages int
+	// graph is the version's Delaunay graph, built on first use (Graph);
+	// every Dataset value starts without one, so no version inherits
+	// another's.
+	graph lazyGraph
 }
 
 // View returns a read-only handle on the dataset's tree whose I/O goes
@@ -82,9 +89,8 @@ func (d *Dataset) StorageView(storage string) *rtree.Tree {
 
 // JoinPoints returns the live points in ID order and, when the dataset
 // carries tombstones, the original ID of each returned point. ids is nil
-// for never-deleted datasets, whose positions already are their IDs —
-// the common case, which the grid backend then consumes with zero copying
-// or remapping.
+// for never-deleted datasets, whose positions already are their IDs, and
+// pts is then Points itself. Graph builds from it once per version.
 func (d *Dataset) JoinPoints() (pts []geom.Point, ids []int64) {
 	if d.Alive == nil {
 		return d.Points, nil
@@ -98,6 +104,48 @@ func (d *Dataset) JoinPoints() (pts []geom.Point, ids []int64) {
 		}
 	}
 	return pts, ids
+}
+
+// Graph returns the Delaunay graph of the version's live points, which
+// reports pairs under their IDs, and how many points this call
+// triangulated. The first caller builds it (triangulated == Live);
+// concurrent callers wait for that build and later ones reuse it (0). A
+// build that panics panics again for every caller.
+func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
+	g, built := d.graph.get(func() *grid.Graph {
+		pts, ids := d.JoinPoints()
+		return grid.NewGraph(pts, ids, dataset.Domain)
+	})
+	if built {
+		triangulated = d.Live
+	}
+	return g, triangulated
+}
+
+// lazyGraph builds a graph at most once, with sync.OnceValue's semantics
+// (one build, concurrent callers wait for it, a panic repeats for every
+// caller), and tells the caller that ran the build.
+type lazyGraph struct {
+	once  sync.Once
+	graph *grid.Graph
+	fault any // the failed build's panic value
+}
+
+func (l *lazyGraph) get(build func() *grid.Graph) (g *grid.Graph, built bool) {
+	l.once.Do(func() {
+		built = true
+		defer func() {
+			if l.graph == nil {
+				l.fault = recover()
+				panic(l.fault)
+			}
+		}()
+		l.graph = build()
+	})
+	if l.graph == nil {
+		panic(l.fault)
+	}
+	return l.graph, built
 }
 
 // alive reports whether id names a live point.

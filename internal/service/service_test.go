@@ -490,11 +490,29 @@ func TestIngestRejectsNonFiniteCoordinates(t *testing.T) {
 
 // TestConcurrentJoins hammers one service from many goroutines across
 // plans, datasets and both endpoints — the race-detector workout for the
-// registry, cache, admission and per-request buffer forking.
+// registry, cache, admission, per-request buffer forking and the lazily
+// built graphs the grid joins share.
 func TestConcurrentJoins(t *testing.T) {
 	p, q := dataset.Uniform(300, 71), dataset.Clustered(300, 8, 72)
 	svc, ts := newTestServer(t, service.Config{MaxConcurrent: 2}, p, q)
 	want := serialReference(t, p, q)
+
+	// join posts left⋈right under algo and checks the pair count, which
+	// the transpose shares.
+	join := func(g int, left, right, algo string) error {
+		body, _ := json.Marshal(service.JoinRequest{Left: left, Right: right, Algo: algo})
+		resp, err := http.Post(ts.URL+"/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		var jr service.JoinResponse
+		json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if int(jr.Count) != len(want) {
+			return fmt.Errorf("goroutine %d: %s %s⋈%s count %d, want %d", g, algo, left, right, jr.Count, len(want))
+		}
+		return nil
+	}
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
@@ -503,19 +521,10 @@ func TestConcurrentJoins(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				switch (g + i) % 3 {
+				switch (g + i) % 5 {
 				case 0:
-					body, _ := json.Marshal(service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
-					resp, err := http.Post(ts.URL+"/join", "application/json", bytes.NewReader(body))
-					if err != nil {
+					if err := join(g, "p", "q", "nm"); err != nil {
 						errCh <- err
-						continue
-					}
-					var jr service.JoinResponse
-					json.NewDecoder(resp.Body).Decode(&jr)
-					resp.Body.Close()
-					if int(jr.Count) != len(want) {
-						errCh <- fmt.Errorf("goroutine %d: count %d, want %d", g, jr.Count, len(want))
 					}
 				case 1:
 					resp, err := http.Get(ts.URL + "/join/stream?left=p&right=q&algo=parallel&workers=2")
@@ -526,6 +535,16 @@ func TestConcurrentJoins(t *testing.T) {
 					resp.Body.Close() // early close: the stream must tolerate it
 				case 2:
 					if _, err := svc.Ingest("scratch", dataset.Uniform(100, int64(100+g))); err != nil {
+						errCh <- err
+					}
+				case 3, 4:
+					// Grid joins in both operand orders: concurrent first
+					// builds of each version's graph, then shared reads.
+					left, right := "p", "q"
+					if (g+i)%5 == 4 {
+						left, right = right, left
+					}
+					if err := join(g, left, right, "grid"); err != nil {
 						errCh <- err
 					}
 				}
