@@ -39,7 +39,7 @@ func buildLive(pts []geom.Point) *liveSet {
 // apply produces the next version: a COW disk clone, the batch replayed
 // through dynamic insert/delete, the previous version left untouched.
 func (ls *liveSet) apply(changes []delta.Change) *liveSet {
-	mt := ls.tree.CloneMut(storage.NewBuffer(ls.tree.Buffer().Disk().Clone(), 1<<30))
+	mt := ls.tree.CloneMut(1 << 30)
 	next := &liveSet{
 		pts:   append([]geom.Point(nil), ls.pts...),
 		alive: append([]bool(nil), ls.alive...),

@@ -49,7 +49,7 @@ func coldBuffer(t *rtree.Tree) {
 // apply builds the next version beside v: a copy-on-write disk clone with
 // the batch replayed through dynamic delete and insert.
 func (v *version) apply(changes []Change) *version {
-	mt := v.tree.CloneMut(storage.NewBuffer(v.tree.Buffer().Disk().Clone(), 1<<30))
+	mt := v.tree.CloneMut(1 << 30)
 	next := &version{pts: make(map[int64]geom.Point, len(v.pts)+len(changes)), next: v.next, tree: mt}
 	for id, p := range v.pts {
 		next.pts[id] = p

@@ -135,6 +135,40 @@ func TestClipperMatchesPolygonClip(t *testing.T) {
 	}
 }
 
+// TestClipperIntersectMatchesClipChain holds Intersect, which sets each
+// edge halfplane's Scale once, to a chain of Polygon.Clip over the same
+// halfplanes left at Scale 0, which compute it in every call: on random
+// convex pairs the vertices must be bit-identical. Half the pairs are
+// scaled up a thousandfold, so most edges have |N| above the clamp at 1.
+func TestClipperIntersectMatchesClipChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var cl Clipper
+	for i := 0; i < 500; i++ {
+		g, o := randConvex(rng), randConvex(rng)
+		if i%2 == 1 {
+			for _, poly := range []Polygon{g, o} {
+				for j := range poly.V {
+					poly.V[j] = poly.V[j].Scale(1000)
+				}
+			}
+		}
+		want := g
+		for j, a := range o.V {
+			nrm := Pt(o.V[(j+1)%len(o.V)].Y-a.Y, a.X-o.V[(j+1)%len(o.V)].X)
+			want = want.Clip(Halfplane{N: nrm, C: nrm.Dot(a)})
+		}
+		got := cl.Intersect(g, o)
+		if len(got.V) != len(want.V) {
+			t.Fatalf("pair %d: %d vertices, want %d", i, len(got.V), len(want.V))
+		}
+		for j := range got.V {
+			if got.V[j] != want.V[j] {
+				t.Fatalf("pair %d vertex %d: %v, want %v", i, j, got.V[j], want.V[j])
+			}
+		}
+	}
+}
+
 func TestHalfplaneScaleCached(t *testing.T) {
 	h := Bisector(Pt(0, 0), Pt(3, 4))
 	if h.Scale <= 0 {

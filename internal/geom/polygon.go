@@ -212,9 +212,13 @@ func (cl *Clipper) Intersect(g, o Polygon) Polygon {
 		e := o.V[j].Sub(o.V[i])
 		// Interior of a CCW polygon is left of the edge: normal (e.Y, -e.X)
 		// points outward, keep N·a ≤ N·vi. ClipCut skips the copy for
-		// edges that do not cut (bit-identical output either way).
+		// edges that do not cut (bit-identical output either way). Scale
+		// is set once here, so ClipCut and the clip under it share one
+		// square root: the value scale() would compute in each.
 		nrm := Point{e.Y, -e.X}
-		res, _ = cl.ClipCut(res, Halfplane{N: nrm, C: nrm.Dot(o.V[i])})
+		h := Halfplane{N: nrm, C: nrm.Dot(o.V[i])}
+		h.Scale = h.scale()
+		res, _ = cl.ClipCut(res, h)
 	}
 	return res
 }

@@ -15,7 +15,7 @@
 // out. JoinGraphs writes to neither graph, so one graph built per dataset
 // version serves every later join of that version, in either operand role
 // and from any number of goroutines; the service stores one per version.
-// Join, for raw pointsets, is NewGraph on each operand and then
+// Join, for raw pointsets, is NewGraph on both operands at once and then
 // JoinGraphs.
 //
 // # Triangulation
@@ -61,9 +61,42 @@
 //
 // Every candidate pair goes through core.CellsJoinWith, the predicate all
 // engines share. A cell takes about six clips whatever the density, so a
-// point mass costs what uniform data does. P's cells are built one at a
-// time in Hilbert order, Q's are memoized, and pairs stream from the
-// first P cell on.
+// point mass costs what uniform data does.
+//
+// # Parallel flood
+//
+// JoinGraphs runs on up to GOMAXPROCS goroutines, the caller among them,
+// in two phases whose work adds up to a one-worker flood's:
+//
+//   - Q's cells, once. Every Q cell and its MBR go into a table the
+//     flood then shares read-only, computed over contiguous ranges of Q's
+//     vertices. The flood meets every Q cell anyway (P's cells tile the
+//     domain), so this moves work rather than adding it. Per-worker lazy
+//     memos recompute the cells that units share at their borders: a
+//     prototype with them ran the service benchmark's grid workload 5.5%
+//     slower.
+//   - P in Hilbert units. P's vertices are cut into contiguous runs of
+//     their Hilbert order, about four per worker and at least 1,024
+//     vertices each, so small joins stay on the caller. Workers claim
+//     units from a shared counter. Contiguity is what keeps the walks
+//     short: each P site's walk starts from the Q site nearest the
+//     worker's previous one, which in Hilbert order is next door, so only
+//     a unit's first walk starts far away.
+//
+// Pairs reach OnPair and Result.Pairs on the calling goroutine in unit
+// order, which is P's Hilbert order, whatever the worker count. The caller
+// floods unit 0 itself and streams its pairs as it finds them, so once
+// Q's table is ready the first pair still follows one P cell: the paper's
+// progressive output (Fig. 9b). A helper's unit is kept as joined vertex
+// pairs and streamed once every unit before it has been. A worker that
+// panics is recovered, the units not yet started are skipped, and
+// JoinGraphs panics with the first value on the caller.
+//
+// Each worker's private scratch is at most two int32 stamps per Q vertex
+// (the P vertex that last queued it and the last that passed its ring),
+// plus its queue, its clippers and its walk start. The stamps name P
+// vertices, which no two units share, so they are never reset; no worker
+// reads another's scratch, and the graphs and Q's table are read-only.
 //
 // SkewEstimate stays as a dataset statistic: the service benchmark times
 // it in its set-up replay and describes its inputs by it.

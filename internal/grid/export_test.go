@@ -10,6 +10,11 @@ var (
 	OrientExact   = orientExact
 	Incircle      = incircle
 	IncircleExact = incircleExact
+	Lattice       = lattice
+	TwinJoins     = twinJoins
+	// JoinGraphsWith is JoinGraphs on at most workers goroutines with
+	// units of size vertices, whatever the host's GOMAXPROCS.
+	JoinGraphsWith = joinGraphs
 )
 
 // Triangulation is a read-only view of a triangulation and the graph

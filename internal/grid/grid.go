@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"runtime"
 	"time"
 
 	"cij/internal/core"
@@ -10,8 +11,10 @@ import (
 
 // Options tunes a grid join.
 type Options struct {
-	// OnPair, when non-nil, streams every result pair as the flood finds
-	// it (P's sites in Hilbert order, on the calling goroutine).
+	// OnPair, when non-nil, streams every result pair on the calling
+	// goroutine, in P's Hilbert order (the order of Result.Pairs). The
+	// caller's first unit streams as the flood finds its pairs; a unit a
+	// helper flooded streams once every unit before it has.
 	OnPair func(core.Pair)
 	// CollectPairs controls whether Result.Pairs is populated.
 	CollectPairs bool
@@ -65,39 +68,53 @@ func NewGraph(pts []geom.Point, ids []int64, domain geom.Rect) *Graph {
 
 // Join evaluates CIJ(P, Q) in memory and returns a result equivalent (as
 // a pair set) to core.NMCIJ over R-trees on the same pointsets: it builds
-// both operands' graphs and joins them with JoinGraphs. MatCPU is the two
-// builds.
+// both operands' graphs, concurrently when GOMAXPROCS allows, and joins
+// them with JoinGraphs. MatCPU is the builds' wall time; each
+// "triangulate" span carries its own build's.
 func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
 	start := time.Now()
-	gp := NewGraph(p, nil, domain)
-	mid := time.Now()
-	opts.Trace.Add("triangulate", "p", mid.Sub(start), obs.Counters{Items: int64(len(p))})
-	gq := NewGraph(q, nil, domain)
+	pts := [2][]geom.Point{p, q}
+	var graphs [2]*Graph
+	var took [2]time.Duration
+	runUnits(runtime.GOMAXPROCS(0), 2, func(_, u int, _ bool) {
+		t := time.Now()
+		graphs[u] = NewGraph(pts[u], nil, domain)
+		took[u] = time.Since(t)
+	}, nil)
 	built := time.Now()
-	opts.Trace.Add("triangulate", "q", built.Sub(mid), obs.Counters{Items: int64(len(q))})
+	opts.Trace.Add("triangulate", "p", took[0], obs.Counters{Items: int64(len(p))})
+	opts.Trace.Add("triangulate", "q", took[1], obs.Counters{Items: int64(len(q))})
 
-	res := JoinGraphs(gp, gq, opts)
+	res := JoinGraphs(graphs[0], graphs[1], opts)
 	res.Stats.MatCPU = built.Sub(start)
 	return res
 }
 
 // JoinGraphs evaluates CIJ(P, Q) on graphs built over one domain. It
-// floods Q's graph from the Q site nearest each P site, computing cells on
-// demand and testing each candidate with the shared predicate
-// core.CellsJoinWith, and writes nothing to either graph.
+// floods Q's graph from the Q site nearest each P site, testing each
+// candidate with the shared predicate core.CellsJoinWith, and writes
+// nothing to either graph. It runs on up to GOMAXPROCS goroutines, the
+// caller among them: Q's cells first, then P's vertices in Hilbert units
+// (see the package comment), with every pair reported on the caller.
 //
-// Stats: JoinCPU is the flood; the I/O counters stay zero. PCellsComputed
-// counts P cells (one per distinct P point), Candidates the predicate
-// tests and TrueHits the tests that joined, so FalseHitRatio describes
-// the flood's MBR filter.
+// Stats: JoinCPU is the flood's wall time; the I/O counters stay zero.
+// PCellsComputed counts P cells (one per distinct P point), Candidates
+// the predicate tests and TrueHits the tests that joined, so
+// FalseHitRatio describes the flood's MBR filter.
 func JoinGraphs(p, q *Graph, opts Options) core.Result {
+	return joinGraphs(p, q, opts, runtime.GOMAXPROCS(0), 0)
+}
+
+// joinGraphs is JoinGraphs on at most workers goroutines, with units of
+// size vertices (0 sizes them from the operands, see unitCount).
+func joinGraphs(p, q *Graph, opts Options, workers, size int) core.Result {
 	if p.domain != q.domain {
 		panic("grid: JoinGraphs over graphs of different domains")
 	}
 	start := time.Now()
 	var res core.Result
 	if p.n > 0 && q.n > 0 {
-		flood(p, q, opts, &res)
+		flood(p, q, opts, &res, workers, size)
 	}
 	res.Stats.JoinCPU = time.Since(start)
 	opts.Trace.Add("join", "", res.Stats.JoinCPU, obs.Counters{

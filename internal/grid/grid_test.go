@@ -88,12 +88,28 @@ func TestUnusualCoordinates(t *testing.T) {
 	outside := []geom.Point{geom.Pt(1240, -2176), geom.Pt(6828, 11842), geom.Pt(298, 391), geom.Pt(6916, 10795)}
 	requireMatchesBrute(t, "outside", outside, dataset.Uniform(40, 2), DefaultOptions())
 
+	for _, j := range twinJoins() {
+		requireMatchesBrute(t, j.Name, j.P, j.Q, DefaultOptions())
+	}
+}
+
+// NamedJoin is one test join's operands.
+type NamedJoin struct {
+	Name string
+	P, Q []geom.Point
+}
+
+// twinJoins returns the near-twin families of TestUnusualCoordinates in P,
+// in Q and in both, each beside uniform data: the ulp cross, a 2^-600
+// corner cluster and 3×3 blocks spaced 1e-9, 3e-8 and 4e-8 (every pair of
+// a block within Eps).
+func twinJoins() []NamedJoin {
 	ulp := math.Nextafter(5000, 6000) - 5000
 	twins := [][]geom.Point{
 		{geom.Pt(5000, 5000), geom.Pt(5000+ulp, 5000), geom.Pt(5000-ulp, 5000), geom.Pt(5000, 5000+ulp), geom.Pt(5000, 5000-ulp)},
 		{geom.Pt(0, 0), geom.Pt(0x1p-600, 0), geom.Pt(0, 0x1p-600), geom.Pt(0x1p-600, 0x1p-600), geom.Pt(0x1p-601, 0x1p-601)},
 	}
-	for _, s := range []float64{1e-9, 3e-8, 4e-8} { // every pair of the 3×3 block within Eps
+	for _, s := range []float64{1e-9, 3e-8, 4e-8} {
 		var block []geom.Point
 		for i := range 9 {
 			block = append(block, geom.Pt(4321+float64(i%3)*s, 6789+float64(i/3)*s))
@@ -101,12 +117,15 @@ func TestUnusualCoordinates(t *testing.T) {
 		twins = append(twins, block)
 	}
 	u, v := dataset.Uniform(300, 11), dataset.Uniform(300, 12)
+	var joins []NamedJoin
 	for i, pts := range twins {
 		name := fmt.Sprintf("twin family %d", i)
-		requireMatchesBrute(t, name+" in P", slices.Concat(u, pts), v, DefaultOptions())
-		requireMatchesBrute(t, name+" in Q", v, slices.Concat(u, pts), DefaultOptions())
-		requireMatchesBrute(t, name+" in both", slices.Concat(u, pts), slices.Concat(v, pts), DefaultOptions())
+		joins = append(joins,
+			NamedJoin{name + " in P", slices.Concat(u, pts), v},
+			NamedJoin{name + " in Q", v, slices.Concat(u, pts)},
+			NamedJoin{name + " in both", slices.Concat(u, pts), slices.Concat(v, pts)})
 	}
+	return joins
 }
 
 // lattice returns the 0.1-spaced 5,000-point lattice (50 columns, 100
@@ -184,7 +203,7 @@ func TestGraphSharedAcrossJoins(t *testing.T) {
 		other := NewGraph(pts, nil, dataset.Domain)
 		runs = append(runs, run{shared, pts, g, other}, run{pts, shared, other, g})
 	}
-	got := make([][]core.Pair, len(runs))
+	got, split := make([][]core.Pair, len(runs)), make([][]core.Pair, len(runs))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i, r := range runs {
@@ -194,16 +213,20 @@ func TestGraphSharedAcrossJoins(t *testing.T) {
 			<-start
 			// Repeated rounds keep the joins overlapping: with one round,
 			// a write planted in nearest() went unreported in 1 of 8
-			// race-detector runs.
+			// race-detector runs. Each round also floods on 3 workers in
+			// 16-vertex units, whose helpers share both graphs too.
 			for range 3 {
 				got[i] = JoinGraphs(r.gp, r.gq, DefaultOptions()).Pairs
+				split[i] = joinGraphs(r.gp, r.gq, DefaultOptions(), 3, 16).Pairs
 			}
 		}()
 	}
 	close(start)
 	wg.Wait()
 	for i, r := range runs {
-		requireSamePairs(t, fmt.Sprintf("run %d", i), got[i], Join(r.p, r.q, dataset.Domain, DefaultOptions()).Pairs)
+		want := Join(r.p, r.q, dataset.Domain, DefaultOptions()).Pairs
+		requireSamePairs(t, fmt.Sprintf("run %d", i), got[i], want)
+		requireSamePairs(t, fmt.Sprintf("run %d on 3 workers", i), split[i], want)
 	}
 }
 

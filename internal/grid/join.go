@@ -5,56 +5,141 @@ import (
 	"cij/internal/geom"
 )
 
-// qCells memoizes Q's Voronoi cells per vertex: the flood of one P cell
-// meets each Q cell it overlaps, and neighbouring P cells meet the same
-// ones. Vertices live in a grow-only arena, so a computed cell's V is
-// never nil; a growth reallocation strands the old backing array, which
-// the cells placed before keep alive.
+// minUnit is the fewest vertices a unit holds when the join sizes its own
+// units: below ~1,024 vertices a helper goroutine costs more than it saves,
+// so small joins stay on the caller. unitsPerWorker units per worker let a
+// worker that drew cheap units take more.
+const (
+	minUnit        = 1024
+	unitsPerWorker = 4
+)
+
+// unitCount returns how many units cut n vertices: units of size vertices,
+// or, for size 0, unitsPerWorker per worker of at least minUnit each.
+func unitCount(n, workers, size int) int {
+	if size <= 0 {
+		size = max(minUnit, (n+unitsPerWorker*workers-1)/(unitsPerWorker*workers))
+	}
+	return (n + size - 1) / size
+}
+
+// unitSpan returns the vertex range [lo, hi) of unit u of k over n
+// vertices: contiguous, in Hilbert order, of near-equal length.
+func unitSpan(u, k int, n int32) (lo, hi int32) {
+	return int32(int64(u) * int64(n) / int64(k)), int32(int64(u+1) * int64(n) / int64(k))
+}
+
+// qCells holds every Q cell and its MBR, by vertex: the table the flood
+// reads, filled before it starts and read-only after. Each unit of Q
+// vertices places its cells in an arena of its own, so units fill the
+// table concurrently; a growth reallocation strands the old backing array,
+// which the cells placed before keep alive.
 type qCells struct {
 	poly   []geom.Polygon
 	bounds []geom.Rect
-	arena  []geom.Point
-	cl     geom.Clipper
 }
 
-// get returns Q vertex v's cell and MBR, computing them on first use.
-func (c *qCells) get(q *Graph, v int32) (geom.Polygon, geom.Rect) {
-	if c.poly[v].V == nil {
-		vs := q.cell(&c.cl, v).V
-		n := len(c.arena)
-		c.arena = append(c.arena, vs...)
-		poly := geom.Polygon{V: c.arena[n:len(c.arena):len(c.arena)]}
-		c.poly[v], c.bounds[v] = poly, poly.Bounds()
-	}
-	return c.poly[v], c.bounds[v]
+func newQCells(q *Graph, workers, size int) *qCells {
+	c := &qCells{poly: make([]geom.Polygon, q.n), bounds: make([]geom.Rect, q.n)}
+	k := unitCount(int(q.n), workers, size)
+	cls := make([]*geom.Clipper, workers)
+	runUnits(workers, k, func(w, u int, _ bool) {
+		if cls[w] == nil {
+			cls[w] = new(geom.Clipper)
+		}
+		lo, hi := unitSpan(u, k, q.n)
+		arena := make([]geom.Point, 0, 8*(hi-lo))
+		for v := lo; v < hi; v++ {
+			vs := q.cell(cls[w], v).V
+			n := len(arena)
+			arena = append(arena, vs...)
+			poly := geom.Polygon{V: arena[n:len(arena):len(arena)]}
+			c.poly[v], c.bounds[v] = poly, poly.Bounds()
+		}
+	}, nil)
+	return c
 }
 
-// flood joins every P cell with the Q cells it overlaps. For each P
-// vertex in Hilbert order it builds cell(p), walks greedily on Q's graph
-// from the previous P vertex's nearest Q vertex to the one nearest a point
-// of cell(p), and floods breadth-first from there: a Q cell whose MBR
-// misses cell(p)'s is skipped, any other is tested and its neighbours and
-// near-twins queued whether or not it joined (the package comment says
-// why this reaches every overlapping cell).
-func flood(tp, tq *Graph, opts Options, res *core.Result) {
-	qc := qCells{
-		poly:   make([]geom.Polygon, tq.n),
-		bounds: make([]geom.Rect, tq.n),
-		arena:  make([]geom.Point, 0, 8*int(tq.n)),
-	}
-	stamp, ringed := make([]int32, tq.n), make([]int32, tq.n) // P vertex + 1 that last queued a Q vertex, its ring
-	var queue []int32
-	push := func(w, v int32) {
-		if stamp[w] != v+1 {
-			stamp[w] = v + 1
-			queue = append(queue, w)
+// flood joins every P cell with the Q cells it overlaps. Q's cells are
+// computed first, in units of Q vertices; then P's vertices are flooded
+// in units, on the same workers (see the package comment). Pairs reach
+// emit on the calling goroutine in P's Hilbert order: the caller's
+// directly as it floods, the helpers' buffered per unit.
+func flood(tp, tq *Graph, opts Options, res *core.Result, workers, size int) {
+	qc := newQCells(tq, workers, size)
+	k := unitCount(int(tp.n), workers, size)
+	fw := make([]*flooder, min(workers, k))
+	collect := opts.CollectPairs || opts.OnPair != nil
+	found := make([][]vertexPair, k) // the joined vertices of each buffered unit
+	runUnits(workers, k, func(w, u int, direct bool) {
+		if fw[w] == nil {
+			fw[w] = &flooder{tp: tp, tq: tq, qc: qc, stamp: make([]int32, tq.n), ringed: make([]int32, tq.n)}
+		}
+		lo, hi := unitSpan(u, k, tp.n)
+		switch {
+		case !collect:
+			fw[w].flood(lo, hi, nil)
+		case direct:
+			fw[w].flood(lo, hi, func(v, q int32) { emit(tp, tq, v, q, opts, res) })
+		default:
+			var buf []vertexPair
+			fw[w].flood(lo, hi, func(v, q int32) { buf = append(buf, vertexPair{v, q}) })
+			found[u] = buf
+		}
+	}, func(u int) {
+		for _, vp := range found[u] {
+			emit(tp, tq, vp.p, vp.q, opts, res)
+		}
+		found[u] = nil
+	})
+	for _, f := range fw {
+		if f != nil {
+			res.Stats.PCellsComputed += f.pCells
+			res.Stats.Candidates += f.candidates
+			res.Stats.TrueHits += f.trueHits
 		}
 	}
-	var cp, cj geom.Clipper
-	near := int32(0)
-	for v := int32(0); v < tp.n; v++ {
-		pc := tp.cell(&cp, v)
-		res.Stats.PCellsComputed++
+}
+
+// vertexPair is a joined P vertex and Q vertex.
+type vertexPair struct{ p, q int32 }
+
+// flooder is one worker's private flood state. Its stamps and queue span
+// Q's vertices; no other worker reads or writes any of it.
+type flooder struct {
+	tp, tq *Graph
+	qc     *qCells
+	// stamp and ringed hold the P vertex + 1 that last queued a Q vertex
+	// and passed its ring; P vertices are distinct across units, so they
+	// are never reset.
+	stamp, ringed                []int32
+	queue                        []int32
+	cp, cj                       geom.Clipper
+	near                         int32 // where the next nearest-site walk starts
+	pCells, candidates, trueHits int64
+	_                            [64]byte // keeps the counters off the next worker's cache line
+}
+
+func (f *flooder) push(w, v int32) {
+	if f.stamp[w] != v+1 {
+		f.stamp[w] = v + 1
+		f.queue = append(f.queue, w)
+	}
+}
+
+// flood joins P vertices [lo, hi) and calls hit, when non-nil, for every
+// joined pair of vertices. For each P vertex in Hilbert order it builds
+// cell(p), walks greedily on Q's graph from the previous P vertex's
+// nearest Q vertex to the one nearest a point of cell(p), and floods
+// breadth-first from there: a Q cell whose MBR misses cell(p)'s is
+// skipped, any other is tested and its neighbours and near-twins queued
+// whether or not it joined (the package comment says why this reaches
+// every overlapping cell).
+func (f *flooder) flood(lo, hi int32, hit func(v, u int32)) {
+	tp, tq, qc := f.tp, f.tq, f.qc
+	for v := lo; v < hi; v++ {
+		pc := tp.cell(&f.cp, v)
+		f.pCells++
 		if pc.IsEmpty() {
 			continue
 		}
@@ -65,27 +150,28 @@ func flood(tp, tq *Graph, opts Options, res *core.Result) {
 		if !tp.domain.Contains(target) {
 			target = pc.V[0]
 		}
-		near = tq.nearest(near, target)
+		f.near = tq.nearest(f.near, target)
 
-		queue = queue[:0]
-		push(near, v)
-		for h := 0; h < len(queue); h++ {
-			u := queue[h]
-			poly, qb := qc.get(tq, u)
-			if !pb.Intersects(qb) {
+		f.queue = f.queue[:0]
+		f.push(f.near, v)
+		for h := 0; h < len(f.queue); h++ {
+			u := f.queue[h]
+			if !pb.Intersects(qc.bounds[u]) {
 				continue
 			}
-			res.Stats.Candidates++
-			if core.CellsJoinWith(&cj, pc, poly) {
-				res.Stats.TrueHits++
-				emit(tp, tq, v, u, opts, res)
+			f.candidates++
+			if core.CellsJoinWith(&f.cj, pc, qc.poly[u]) {
+				f.trueHits++
+				if hit != nil {
+					hit(v, u)
+				}
 			}
 			for _, w := range tq.neighbors(u) {
-				push(w, v)
+				f.push(w, v)
 			}
-			for w := tq.ring[u]; w != u && ringed[u] != v+1; w = tq.ring[w] {
-				ringed[w] = v + 1 // the first of a cluster to pass queues the rest
-				push(w, v)
+			for w := tq.ring[u]; w != u && f.ringed[u] != v+1; w = tq.ring[w] {
+				f.ringed[w] = v + 1 // the first of a cluster to pass queues the rest
+				f.push(w, v)
 			}
 		}
 	}

@@ -20,11 +20,14 @@
 //     buffer; having more units than workers lets the pool even out
 //     skewed (clustered) datasets, since a worker that drew a cheap unit
 //     pulls the next one.
-//   - A worker pool where each worker pulls units from a shared queue and
+//   - A worker pool where each worker claims units from a shared counter and
 //     runs the NM-CIJ conditional-filter + refinement pipeline
 //     (core.BatchPipeline) against the shared read-only trees. Workers
 //     read through private storage.Buffer forks via rtree tree views, so
 //     the hot path takes no locks; per-worker Stats account I/O exactly.
+//     A unit that panics is recovered on its worker, the units not yet
+//     started are skipped, and Join panics with the first value on its
+//     caller, where a request's own recovery sees it.
 //   - A streaming merge that fans the workers' pair streams into a single
 //     OnPair output on the caller's goroutine and folds per-worker I/O
 //     and filter counters into one core.Stats. Pairs flow out while

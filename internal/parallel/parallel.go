@@ -3,6 +3,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cij/internal/core"
@@ -89,25 +90,17 @@ func Join(rp, rq *rtree.Tree, domain geom.Rect, opts Options) core.Result {
 	capP := perWorkerCapacity(rp.Buffer().Capacity(), workers)
 	capQ := perWorkerCapacity(rq.Buffer().Capacity(), workers)
 
-	unitCh := make(chan Unit)
-	events := make(chan event, workers*2)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		w := newWorker(i, rp, rq, domain, capP, capQ, opts.Reuse, tr)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(unitCh, events)
-		}()
+	ws := make([]*worker, workers)
+	for i := range ws {
+		ws[i] = newWorker(i, rp, rq, domain, capP, capQ, opts.Reuse, tr)
 	}
+	events := make(chan event, workers*2)
+	var fault any
 	go func() {
-		for _, u := range units {
-			unitCh <- u
+		fault = runUnits(workers, units, func(w int, u Unit) { ws[w].process(u, events) })
+		for _, w := range ws {
+			w.finish(events)
 		}
-		close(unitCh)
-	}()
-	go func() {
-		wg.Wait()
 		close(events)
 	}()
 
@@ -117,8 +110,42 @@ func Join(rp, rq *rtree.Tree, domain geom.Rect, opts Options) core.Result {
 	// span overlaps theirs — it measures fan-in latency, not extra work,
 	// and carries no I/O (the merge only folds counters).
 	tr.Add("merge", "", time.Since(mergeStart), obs.Counters{Items: int64(workers)})
+	if fault != nil {
+		panic(fault) // on the caller, where a request's own recovery sees it
+	}
 	stats.JoinCPU = time.Since(start)
 	return core.Result{Pairs: pairs, Stats: stats}
+}
+
+// runUnits calls do(w, u) for every unit on workers goroutines that claim
+// units in order from a shared counter, and returns once every worker has.
+// A unit that panics is recovered on its worker; the units not yet
+// started are then skipped, and runUnits returns the first value
+// recovered (nil if none).
+func runUnits(workers int, units []Unit, do func(w int, u Unit)) (fault any) {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var once sync.Once
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(units)) && !failed.Load(); i = next.Add(1) - 1 {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							once.Do(func() { fault = p })
+							failed.Store(true)
+						}
+					}()
+					do(w, units[i])
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	return fault
 }
 
 // perWorkerCapacity splits one serial buffer capacity across workers,

@@ -23,9 +23,9 @@ type event struct {
 
 // worker owns one NM-CIJ pipeline over private tree views: its buffer
 // forks cache independently and count only its own I/O, so the batch loop
-// runs without any synchronization. Workers pull units from a shared
-// queue, which load-balances dynamically — a worker that drew a cheap
-// unit simply draws the next one.
+// runs without any synchronization. Workers claim units from a shared
+// counter (runUnits), which load-balances dynamically — a worker that drew
+// a cheap unit simply draws the next one.
 //
 // The pipeline also carries all per-batch scratch (the typed best-first
 // queues, Voronoi workspaces, clipping buffers and polygon arenas of
@@ -69,17 +69,19 @@ func newWorker(id int, rp, rq *rtree.Tree, domain geom.Rect, capP, capQ int, reu
 	}
 }
 
-// run drains the unit queue, streaming one event per processed batch so
+// process joins one unit, streaming one event per processed batch so
 // pairs reach the merge (and the caller's OnPair) while the join is still
-// in flight, then reports its filter counters and returns.
-func (w *worker) run(units <-chan Unit, out chan<- event) {
-	for u := range units {
-		for _, group := range u.Batches {
-			var pairs []core.Pair
-			w.pipe.ProcessBatch(group, func(p core.Pair) { pairs = append(pairs, p) })
-			out <- event{worker: w.id, pairs: pairs, io: w.ioStats()}
-		}
+// in flight.
+func (w *worker) process(u Unit, out chan<- event) {
+	for _, group := range u.Batches {
+		var pairs []core.Pair
+		w.pipe.ProcessBatch(group, func(p core.Pair) { pairs = append(pairs, p) })
+		out <- event{worker: w.id, pairs: pairs, io: w.ioStats()}
 	}
+}
+
+// finish reports the worker's filter counters, its last event.
+func (w *worker) finish(out chan<- event) {
 	final := w.pipe.FilterStats()
 	out <- event{worker: w.id, io: w.ioStats(), final: &final}
 }

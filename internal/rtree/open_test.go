@@ -67,8 +67,7 @@ func TestOpenFromSnapshot(t *testing.T) {
 	}
 
 	// The reopened tree stays mutable: a COW clone accepts inserts.
-	mbuf := storage.NewBuffer(got.Buffer().Disk().Clone(), 0)
-	mut := got.CloneMut(mbuf)
+	mut := got.CloneMut(0)
 	mut.InsertPoint(10_000, geom.Pt(1, 1))
 	if mut.Size() != tr.Size()+1 {
 		t.Fatalf("mutable clone of reopened tree: size %d", mut.Size())

@@ -30,7 +30,7 @@
 //     point-level inserts, moves and deletes applied as one atomic batch
 //     producing one new dataset version. The old version's pages stay
 //     readable through a copy-on-write disk snapshot (storage.Disk.Clone
-//     with rtree.Tree.CloneMut), so in-flight joins keep the exact
+//     under rtree.Tree.CloneMut), so in-flight joins keep the exact
 //     version they resolved — snapshot isolation, no locks on the join path;
 //     a service-level mutex serializes mutators only. Deleted points
 //     tombstone (IDs never renumber, so pair identities stay stable
@@ -62,7 +62,10 @@
 //     cijtool join and cijbench run them. A bounded admission
 //     semaphore caps the number of joins executing at once: excess
 //     requests queue (FIFO on a channel) instead of thrashing the
-//     machine, and /stats reports the in-flight count.
+//     machine, and /stats reports the in-flight count. A slot covers
+//     the whole join: the parallel engine's workers and a grid join's
+//     helpers (its concurrent graph fetches and the goroutines of its
+//     flood, up to GOMAXPROCS) run inside the one slot their join holds.
 //
 //   - Result cache (cache.go): a versioned LRU keyed by
 //     (left@ver, right@ver, algo, workers). Because dataset versions are

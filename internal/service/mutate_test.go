@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"cij/internal/core"
 	"cij/internal/dataset"
@@ -536,4 +538,34 @@ func FuzzMutationRequest(f *testing.F) {
 		}
 		serveBelow500(t, h, http.MethodPost, "/datasets/p/points", "", body)
 	})
+}
+
+// TestOldVersionsCollected: a mutated version shares its parent's pages
+// copy-on-write but holds no reference to the parent, so once the
+// registry moves on, version 1's disk is garbage. The registry itself
+// stays reachable throughout; collecting it would free version 1 whatever
+// the versions hold.
+func TestOldVersionsCollected(t *testing.T) {
+	reg := service.NewRegistry(2)
+	v1, err := reg.Put("a", dataset.Uniform(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := weak.Make(v1.Tree.Buffer().Disk())
+	v1 = nil
+	for i := range 3 {
+		spec := service.MutationSpec{Insert: []geom.Point{geom.Pt(100+float64(i), 200)}, Delete: []int64{int64(i)}}
+		if _, _, _, err := reg.Mutate("a", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	if disk.Value() != nil {
+		t.Fatal("version 1's disk is still reachable after three mutations")
+	}
+	if cur, ok := reg.Get("a"); !ok || cur.Version != 4 {
+		t.Fatalf("registry lost dataset a (%v)", ok)
+	}
+	runtime.KeepAlive(reg)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -154,7 +155,8 @@ func triangulated(t *testing.T, jr service.JoinResponse) map[string]int64 {
 // traces. With the result cache off, p⋈q, p⋈q again and q⋈p all compute
 // and return the same pairs, but only the first triangulates (Items |p|
 // and |q| in its "triangulate" spans); the other two reuse the stored
-// graphs, in either operand role, and carry 0.
+// graphs, in either operand role, and carry 0. On a fresh server, a cold
+// p⋈p builds p's graph once for both operands.
 func TestGridGraphsBuiltOnce(t *testing.T) {
 	p, q := dataset.Uniform(300, 141), dataset.Clustered(250, 5, 142)
 	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
@@ -183,6 +185,23 @@ func TestGridGraphsBuiltOnce(t *testing.T) {
 		}
 		sameSet(t, fmt.Sprintf("join %d (%s⋈%s)", i, tc.left, tc.right), pairs, want)
 	}
+
+	// A cold self-join fetches p's graph twice at once and builds it once:
+	// one fetch triangulates, the other waits for it. The spans still come
+	// p then q.
+	_, ts = newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "p", Algo: "grid", Trace: true})
+	var tags []string
+	var items []int64
+	for _, sp := range jr.Trace.Spans {
+		if sp.Phase == "triangulate" {
+			tags, items = append(tags, sp.Tag), append(items, sp.Items)
+		}
+	}
+	if !slices.Equal(tags, []string{"p", "q"}) || items[0]+items[1] != 300 || items[0]*items[1] != 0 {
+		t.Fatalf("cold p⋈p traced triangulate spans %v with items %v, want p then q and one build of 300", tags, items)
+	}
+	sameSet(t, "cold p⋈p", pairSet(jr.Pairs), serialReference(t, p, p))
 }
 
 // TestTraceOnlyWhenRequested: an untraced request gets no trace block,

@@ -72,7 +72,8 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 			reason = fmt.Sprintf("explicit storage %q restricts algo-auto to the tree algorithms; serial range selects NM-CIJ", stor)
 		default:
 			pl = Plan{Algo: "grid"}
-			reason = "serial-range join routes to the in-memory grid"
+			reason = fmt.Sprintf("joint cardinality %d at %d points/worker sizes no parallel pool above one worker, so the in-memory Delaunay join runs it, on up to GOMAXPROCS goroutines inside its one admission slot",
+				total, autoPointsPerWorker)
 		}
 	case "nm", "grid", "parallel":
 		pl = Plan{Algo: q.Algo}
@@ -174,11 +175,13 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 		// tree view, no buffer fork, no pages. The first grid join that
 		// needs a version's graph builds it, here inside its admission
 		// slot; later joins of the version reuse it in either role. The
-		// graphs report original IDs, tombstoned versions included.
+		// graphs report original IDs, tombstoned versions included. The
+		// join's helper goroutines run inside the same slot.
 		opts := grid.DefaultOptions()
 		opts.OnPair = hooks.onPair
 		opts.Trace = tr
-		res = grid.JoinGraphs(graphOf(left, "p", tr), graphOf(right, "q", tr), opts)
+		gp, gq := graphsOf(left, right, tr)
+		res = grid.JoinGraphs(gp, gq, opts)
 	case "nm":
 		rp, rq := left.StorageView(pl.Storage), right.StorageView(pl.Storage)
 		rp.Buffer().SetOnEvict(s.metrics.onEvict)
@@ -216,15 +219,36 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 	}
 }
 
-// graphOf returns d's graph and traces this request's share of it as the
-// operand's "triangulate" span: the wall time spent building the graph or
-// waiting for a concurrent build (~0 on reuse), and as Items the points
-// this request triangulated (0 unless it built the graph).
-func graphOf(d *Dataset, operand string, tr *obs.Trace) *grid.Graph {
-	start := time.Now()
-	g, triangulated := d.Graph()
-	tr.Add("triangulate", operand, time.Since(start), obs.Counters{Items: int64(triangulated)})
-	return g
+// graphsOf fetches both operands' graphs concurrently, so a join that
+// builds both pays one triangulation's wall time, and then traces this
+// request's share of each as the operand's "triangulate" span, p before
+// q: the wall time spent building the graph or waiting for a concurrent
+// build (~0 on reuse), and as Items the points this request triangulated
+// (0 unless it built the graph). A failed build panics on the caller.
+func graphsOf(left, right *Dataset, tr *obs.Trace) (gp, gq *grid.Graph) {
+	type fetch struct {
+		g     *grid.Graph
+		items int
+		wall  time.Duration
+	}
+	get := func(d *Dataset, f *fetch) {
+		start := time.Now()
+		f.g, f.items = d.Graph()
+		f.wall = time.Since(start)
+	}
+	var p, q fetch
+	fault := make(chan any, 1)
+	go func() {
+		defer func() { fault <- recover() }()
+		get(right, &q)
+	}()
+	get(left, &p)
+	if f := <-fault; f != nil {
+		panic(f)
+	}
+	tr.Add("triangulate", "p", p.wall, obs.Counters{Items: int64(p.items)})
+	tr.Add("triangulate", "q", q.wall, obs.Counters{Items: int64(q.items)})
+	return p.g, q.g
 }
 
 // PlanInputs are the decision inputs the planner consulted — everything a

@@ -402,7 +402,7 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 	// Build version N+1 beside the serving version: COW-clone the disk,
 	// fork a mutable tree over the clone, replay the batch. Deletes and
 	// updates keep their original IDs; inserts extend the ID space.
-	mt := d.Tree.CloneMut(storage.NewBuffer(d.Tree.Buffer().Disk().Clone(), buildBufferPages))
+	mt := d.Tree.CloneMut(buildBufferPages)
 	pts := append([]geom.Point(nil), d.Points...)
 	var alive []bool
 	if d.Alive != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -623,6 +624,55 @@ func TestExplicitWorkersOne(t *testing.T) {
 	if jr.Algo != "parallel" || jr.Workers != 1 {
 		t.Fatalf("workers=1 planned %s/w%d, want parallel/w1", jr.Algo, jr.Workers)
 	}
+}
+
+// TestWorkerPanicAnswers500: a panic on one of the parallel engine's
+// worker goroutines reaches the request, which answers 500 and counts in
+// cij_panics_total, instead of killing the process; the server then
+// answers a grid join of the same datasets. Q's collinear run of three
+// near-twins makes NM-CIJ's filter take the centroid of an empty polygon.
+func TestWorkerPanicAnswers500(t *testing.T) {
+	q := dataset.Uniform(100, 1)
+	for i := range 3 {
+		q = append(q, geom.Pt(4321+2e-8*float64(i), 6789))
+	}
+	p := dataset.Uniform(100, 2)
+	svc, ts := newTestServer(t, service.Config{}, p, q)
+
+	body, _ := json.Marshal(service.JoinRequest{Left: "p", Right: "q", Algo: "parallel", Workers: 2})
+	resp, err := http.Post(ts.URL+"/join", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("parallel join over near-twins: status %d, want 500", resp.StatusCode)
+	}
+	if n := svc.InFlight(); n != 0 {
+		t.Fatalf("%d admission slots still held after the panic", n)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := new(strings.Builder)
+	_, err = io.Copy(metrics, resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(metrics.String(), "\ncij_panics_total 1\n") {
+		t.Fatalf("metrics do not count the panic (err %v)", err)
+	}
+
+	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid"})
+	sameSet(t, "grid join after the panic", pairSet(jr.Pairs), bruteReference(p, q))
+}
+
+// bruteReference is the brute-force oracle's pair set.
+func bruteReference(p, q []geom.Point) map[core.Pair]bool {
+	ref := make(map[core.Pair]bool)
+	for _, pr := range core.BruteCIJ(p, q, dataset.Domain) {
+		ref[pr] = true
+	}
+	return ref
 }
 
 // fuzzService is the one small service a fuzz target drives: two

@@ -75,10 +75,6 @@ type Disk struct {
 	// reallocate before touching bytes. nil means "no page is shared"
 	// (a disk that was never cloned).
 	shared []bool
-	// origin is the disk this one was cloned from (nil for a root disk).
-	// It exists for lineage checks — rtree.CloneMut refuses buffers whose
-	// disk is not a clone of the tree's own — not for data access.
-	origin *Disk
 }
 
 // NewDisk creates an empty disk with the given page size.
@@ -118,7 +114,6 @@ func (d *Disk) Clone() *Disk {
 		pageSize: d.pageSize,
 		pages:    append(make([][]byte, 0, n), d.pages...),
 		shared:   make([]bool, n),
-		origin:   d,
 	}
 	for i := range c.shared {
 		c.shared[i] = true
@@ -132,10 +127,6 @@ func (d *Disk) Clone() *Disk {
 	}
 	return c
 }
-
-// Origin returns the disk this one was cloned from, or nil for a disk
-// created with NewDisk.
-func (d *Disk) Origin() *Disk { return d.origin }
 
 // read returns the raw page contents. Callers must treat the slice as
 // read-only.
