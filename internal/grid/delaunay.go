@@ -300,6 +300,13 @@ func (g *Graph) cell(cl *geom.Clipper, v int32) geom.Polygon {
 	}
 }
 
+// storedCell returns the cell of real vertex v from g's table. Its
+// vertices are g's and must not be written.
+func (g *Graph) storedCell(v int32) geom.Polygon {
+	lo, hi := g.cellStart[v], g.cellStart[v+1]
+	return geom.Polygon{V: g.cells[lo:hi:hi]}
+}
+
 // nearest walks greedily on the Delaunay graph from real vertex from to
 // the real vertex nearest x, stepping to the closest neighbour of the
 // current vertex's cluster while one is strictly closer (near-twins tie in

@@ -10,13 +10,19 @@
 //
 // NewGraph triangulates one pointset and keeps what a join reads: the
 // distinct points, their Delaunay neighbours, near-twin rings, member
-// lists and an optional ID table, 56 B per uniform point. The
-// triangles and half-edges (48 B per point) go once the graph is laid
-// out. JoinGraphs writes to neither graph, so one graph built per dataset
-// version serves every later join of that version, in either operand role
-// and from any number of goroutines; the service stores one per version.
-// Join, for raw pointsets, is NewGraph on both operands at once and then
-// JoinGraphs.
+// lists and an optional ID table, 56 B per uniform point, and every
+// vertex's Voronoi cell and MBR, another 131 B. The cells lie back to
+// back in one arena of exactly their length (5.96 vertices of 16 B per
+// uniform cell), with an int32 offset and a 32-byte MBR per vertex. The
+// build computes them over contiguous Hilbert ranges of vertices on up to
+// GOMAXPROCS goroutines, as the flood runs its units. The triangles and
+// half-edges (48 B per point) go once the graph is laid out. JoinGraphs
+// writes to neither graph, so one graph built per dataset version serves
+// every later join of that version, in either operand role and from any
+// number of goroutines. The service stores one per version, so the
+// Voronoi diagram FM-CIJ materializes on every join (its MAT phase) is
+// computed once per version. Join, for raw pointsets, is NewGraph on both
+// operands at once and then JoinGraphs.
 //
 // # Triangulation
 //
@@ -61,42 +67,37 @@
 //
 // Every candidate pair goes through core.CellsJoinWith, the predicate all
 // engines share. A cell takes about six clips whatever the density, so a
-// point mass costs what uniform data does.
+// point mass costs what uniform data does; a tight near-twin cluster of k
+// sites costs O(k) clips per member, paid once, in its version's build.
 //
 // # Parallel flood
 //
-// JoinGraphs runs on up to GOMAXPROCS goroutines, the caller among them,
-// in two phases whose work adds up to a one-worker flood's:
-//
-//   - Q's cells, once. Every Q cell and its MBR go into a table the
-//     flood then shares read-only, computed over contiguous ranges of Q's
-//     vertices. The flood meets every Q cell anyway (P's cells tile the
-//     domain), so this moves work rather than adding it. Per-worker lazy
-//     memos recompute the cells that units share at their borders: a
-//     prototype with them ran the service benchmark's grid workload 5.5%
-//     slower.
-//   - P in Hilbert units. P's vertices are cut into contiguous runs of
-//     their Hilbert order, about four per worker and at least 1,024
-//     vertices each, so small joins stay on the caller. Workers claim
-//     units from a shared counter. Contiguity is what keeps the walks
-//     short: each P site's walk starts from the Q site nearest the
-//     worker's previous one, which in Hilbert order is next door, so only
-//     a unit's first walk starts far away.
+// JoinGraphs reads both graphs' cells and clips none: a P site's flood is
+// the walk to its nearest Q site, the MBR filter and the predicate. It
+// runs on up to GOMAXPROCS goroutines, the caller among them, over P's
+// vertices cut into contiguous runs of their Hilbert order, about four
+// per worker and at least 1,024 vertices each, so small joins stay on the
+// caller. Workers claim units from a shared counter. Contiguity is what
+// keeps the walks short: each P site's walk starts from the Q site
+// nearest the worker's previous one, which in Hilbert order is next door,
+// so only a unit's first walk starts far away.
 //
 // Pairs reach OnPair and Result.Pairs on the calling goroutine in unit
 // order, which is P's Hilbert order, whatever the worker count. The caller
-// floods unit 0 itself and streams its pairs as it finds them, so once
-// Q's table is ready the first pair still follows one P cell: the paper's
-// progressive output (Fig. 9b). A helper's unit is kept as joined vertex
-// pairs and streamed once every unit before it has been. A worker that
-// panics is recovered, the units not yet started are skipped, and
-// JoinGraphs panics with the first value on the caller.
+// floods unit 0 itself and streams its pairs as it finds them, so the
+// first pair of a join on stored graphs follows no clip at all, only its
+// P cell's walk and tests: the paper's progressive output (Fig. 9b). A
+// helper's unit is kept as joined vertex pairs and streamed once every
+// unit before it has been. Once out of units, the caller waits for the
+// helpers' last ones; a traced join reports that wait as its "wait" span.
+// A worker that panics is recovered, the units not yet started are
+// skipped, and JoinGraphs panics with the first value on the caller.
 //
 // Each worker's private scratch is at most two int32 stamps per Q vertex
 // (the P vertex that last queued it and the last that passed its ring),
-// plus its queue, its clippers and its walk start. The stamps name P
+// plus its queue, its clipper and its walk start. The stamps name P
 // vertices, which no two units share, so they are never reset; no worker
-// reads another's scratch, and the graphs and Q's table are read-only.
+// reads another's scratch, and the graphs are read-only.
 //
 // SkewEstimate stays as a dataset statistic: the service benchmark times
 // it in its set-up replay and describes its inputs by it.

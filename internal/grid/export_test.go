@@ -15,7 +15,29 @@ var (
 	// JoinGraphsWith is JoinGraphs on at most workers goroutines with
 	// units of size vertices, whatever the host's GOMAXPROCS.
 	JoinGraphsWith = joinGraphs
+	// NewGraphWith is NewGraph computing the cells on at most workers
+	// goroutines with units of size vertices.
+	NewGraphWith = newGraph
 )
+
+// CellTable returns g's cell table: the arena, the offsets by vertex and
+// the MBRs by vertex.
+func (g *Graph) CellTable() ([]geom.Point, []int32, []geom.Rect) {
+	return g.cells, g.cellStart, g.bounds
+}
+
+// CellTableWith recomputes g's cell table into a copy of g, as NewGraphWith
+// would on at most workers goroutines with units of size vertices, and
+// returns the copy's table: the matrix of worker counts and unit sizes
+// then pays one triangulation per pointset.
+func (g *Graph) CellTableWith(workers, size int) ([]geom.Point, []int32, []geom.Rect) {
+	c := *g
+	c.storeCells(workers, size)
+	return c.CellTable()
+}
+
+// Cell recomputes vertex v's cell from the graph.
+func (g *Graph) Cell(v int) geom.Polygon { return g.cell(new(geom.Clipper), int32(v)) }
 
 // Triangulation is a read-only view of a triangulation and the graph
 // laid out from it, for structural checks.

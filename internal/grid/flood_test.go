@@ -2,6 +2,7 @@ package grid_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -69,4 +70,51 @@ func sites(p []geom.Point, pairs []core.Pair) []geom.Point {
 		}
 	}
 	return out
+}
+
+// TestStoredCells holds a one-worker build's cell table to the cells
+// Graph.cell computes: each stored cell bit for bit, and its MBR to the
+// cell's Bounds. The table computed on 1, 2, 3 or 8 workers with 1-, 7- or
+// 64-vertex units must be identical, its arena exactly full. The inputs
+// are both operands of the equivalence suite's seeds and of the near-twin
+// families, the lattice and its half-shifted copy, and an empty and a
+// one-point set.
+func TestStoredCells(t *testing.T) {
+	var sets []grid.NamedJoin // each join's P and Q are two inputs
+	for seed := int64(1); seed <= check.NumSeeds; seed++ {
+		ps := check.Generate(seed)
+		sets = append(sets, grid.NamedJoin{Name: fmt.Sprintf("seed %d", seed), P: ps.P, Q: ps.Q})
+	}
+	sets = append(sets, grid.TwinJoins()...)
+	sets = append(sets,
+		grid.NamedJoin{Name: "lattice x shifted", P: grid.Lattice(5000, 5000), Q: grid.Lattice(5000.05, 5000.05)},
+		grid.NamedJoin{Name: "empty x one point", P: nil, Q: []geom.Point{geom.Pt(1234, 5678)}})
+	for _, j := range sets {
+		for i, pts := range [][]geom.Point{j.P, j.Q} {
+			name := fmt.Sprintf("%s, %c", j.Name, "PQ"[i])
+			want := grid.NewGraphWith(pts, nil, dataset.Domain, 1, 0)
+			cells, start, bounds := want.CellTable()
+			for v := range len(start) - 1 {
+				c := cells[start[v]:start[v+1]]
+				if r := want.Cell(v); !sameBits(c, r.V) || bounds[v] != r.Bounds() {
+					t.Fatalf("%s: vertex %d stores cell %v with MBR %v, recomputed %v with MBR %v", name, v, c, bounds[v], r.V, r.Bounds())
+				}
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, size := range []int{1, 7, 64} {
+					gc, gs, gb := want.CellTableWith(workers, size)
+					if !sameBits(gc, cells) || !slices.Equal(gs, start) || !slices.Equal(gb, bounds) || cap(gc) != len(gc) {
+						t.Fatalf("%s, %d workers, %d-vertex units: the cell table differs from the 1-worker build's", name, workers, size)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same coordinates bit for bit.
+func sameBits(a, b []geom.Point) bool {
+	return slices.EqualFunc(a, b, func(x, y geom.Point) bool {
+		return math.Float64bits(x.X) == math.Float64bits(y.X) && math.Float64bits(x.Y) == math.Float64bits(y.Y)
+	})
 }

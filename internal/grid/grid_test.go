@@ -231,23 +231,37 @@ func TestGraphSharedAcrossJoins(t *testing.T) {
 }
 
 // TestGraphFootprint sums the capacities of every slice a 10k-uniform
-// graph holds: at most 64 B per point, so a graph cannot keep its
-// triangles and half-edges (48 B per point) or the build stack by
-// accident.
+// graph holds, in two parts. The cell table (arena, offsets and MBRs,
+// which the flood reads) may take at most 144 B per point: about six
+// vertices of 16 B per cell, 4 B of offset and a 32-byte MBR, so an arena
+// reserving eight vertices per cell fails it. Every other field may take
+// at most 64 B per point, so a graph cannot keep its triangles and
+// half-edges (48 B per point) or the build stack by accident.
 func TestGraphFootprint(t *testing.T) {
 	const n = 10000
+	table := map[string]bool{"cells": true, "cellStart": true, "bounds": true}
 	v := reflect.ValueOf(NewGraph(dataset.Uniform(n, 1), nil, dataset.Domain)).Elem()
-	bytes := 0
+	var graph, cells int
 	for i := range v.NumField() {
 		if f := v.Field(i); f.Kind() == reflect.Slice {
-			bytes += f.Cap() * int(f.Type().Elem().Size())
+			bytes := f.Cap() * int(f.Type().Elem().Size())
+			if table[v.Type().Field(i).Name] {
+				cells += bytes
+			} else {
+				graph += bytes
+			}
 		}
 	}
-	per := float64(bytes) / n
-	if per > 64 {
-		t.Fatalf("graph holds %.1f B per point, want at most 64", per)
+	for _, part := range []struct {
+		name       string
+		bytes, max int
+	}{{"graph", graph, 64}, {"cell table", cells, 144}} {
+		per := float64(part.bytes) / n
+		if per > float64(part.max) {
+			t.Fatalf("%s holds %.1f B per point, want at most %d", part.name, per, part.max)
+		}
+		t.Logf("%s holds %.1f B per point", part.name, per)
 	}
-	t.Logf("graph holds %.1f B per point", per)
 }
 
 func TestSkewEstimate(t *testing.T) {
@@ -278,7 +292,8 @@ func pointMass(n int, seed int64) []geom.Point {
 func BenchmarkGridJoinPointMass(b *testing.B) {
 	p, q := pointMass(20000, 1), pointMass(20000, 2)
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		Join(p, q, dataset.Domain, Options{})
 	}
 }
@@ -300,7 +315,8 @@ func BenchmarkGridJoinGraphs(b *testing.B) {
 	p := NewGraph(dataset.Uniform(20000, 1), nil, dataset.Domain)
 	q := NewGraph(dataset.Uniform(20000, 2), nil, dataset.Domain)
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		JoinGraphs(p, q, Options{})
 	}
 }

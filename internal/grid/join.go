@@ -29,51 +29,19 @@ func unitSpan(u, k int, n int32) (lo, hi int32) {
 	return int32(int64(u) * int64(n) / int64(k)), int32(int64(u+1) * int64(n) / int64(k))
 }
 
-// qCells holds every Q cell and its MBR, by vertex: the table the flood
-// reads, filled before it starts and read-only after. Each unit of Q
-// vertices places its cells in an arena of its own, so units fill the
-// table concurrently; a growth reallocation strands the old backing array,
-// which the cells placed before keep alive.
-type qCells struct {
-	poly   []geom.Polygon
-	bounds []geom.Rect
-}
-
-func newQCells(q *Graph, workers, size int) *qCells {
-	c := &qCells{poly: make([]geom.Polygon, q.n), bounds: make([]geom.Rect, q.n)}
-	k := unitCount(int(q.n), workers, size)
-	cls := make([]*geom.Clipper, workers)
-	runUnits(workers, k, func(w, u int, _ bool) {
-		if cls[w] == nil {
-			cls[w] = new(geom.Clipper)
-		}
-		lo, hi := unitSpan(u, k, q.n)
-		arena := make([]geom.Point, 0, 8*(hi-lo))
-		for v := lo; v < hi; v++ {
-			vs := q.cell(cls[w], v).V
-			n := len(arena)
-			arena = append(arena, vs...)
-			poly := geom.Polygon{V: arena[n:len(arena):len(arena)]}
-			c.poly[v], c.bounds[v] = poly, poly.Bounds()
-		}
-	}, nil)
-	return c
-}
-
-// flood joins every P cell with the Q cells it overlaps. Q's cells are
-// computed first, in units of Q vertices; then P's vertices are flooded
-// in units, on the same workers (see the package comment). Pairs reach
+// flood joins every P cell with the Q cells it overlaps, flooding P's
+// vertices in units on up to workers goroutines (see the package
+// comment), and returns what the caller waited for helpers. Pairs reach
 // emit on the calling goroutine in P's Hilbert order: the caller's
 // directly as it floods, the helpers' buffered per unit.
-func flood(tp, tq *Graph, opts Options, res *core.Result, workers, size int) {
-	qc := newQCells(tq, workers, size)
+func flood(tp, tq *Graph, opts Options, res *core.Result, workers, size int) unitWait {
 	k := unitCount(int(tp.n), workers, size)
 	fw := make([]*flooder, min(workers, k))
 	collect := opts.CollectPairs || opts.OnPair != nil
 	found := make([][]vertexPair, k) // the joined vertices of each buffered unit
-	runUnits(workers, k, func(w, u int, direct bool) {
+	wait := runUnits(workers, k, func(w, u int, direct bool) {
 		if fw[w] == nil {
-			fw[w] = &flooder{tp: tp, tq: tq, qc: qc, stamp: make([]int32, tq.n), ringed: make([]int32, tq.n)}
+			fw[w] = &flooder{tp: tp, tq: tq, stamp: make([]int32, tq.n), ringed: make([]int32, tq.n)}
 		}
 		lo, hi := unitSpan(u, k, tp.n)
 		switch {
@@ -99,6 +67,7 @@ func flood(tp, tq *Graph, opts Options, res *core.Result, workers, size int) {
 			res.Stats.TrueHits += f.trueHits
 		}
 	}
+	return wait
 }
 
 // vertexPair is a joined P vertex and Q vertex.
@@ -108,13 +77,12 @@ type vertexPair struct{ p, q int32 }
 // Q's vertices; no other worker reads or writes any of it.
 type flooder struct {
 	tp, tq *Graph
-	qc     *qCells
 	// stamp and ringed hold the P vertex + 1 that last queued a Q vertex
 	// and passed its ring; P vertices are distinct across units, so they
 	// are never reset.
 	stamp, ringed                []int32
 	queue                        []int32
-	cp, cj                       geom.Clipper
+	cj                           geom.Clipper
 	near                         int32 // where the next nearest-site walk starts
 	pCells, candidates, trueHits int64
 	_                            [64]byte // keeps the counters off the next worker's cache line
@@ -128,22 +96,22 @@ func (f *flooder) push(w, v int32) {
 }
 
 // flood joins P vertices [lo, hi) and calls hit, when non-nil, for every
-// joined pair of vertices. For each P vertex in Hilbert order it builds
-// cell(p), walks greedily on Q's graph from the previous P vertex's
-// nearest Q vertex to the one nearest a point of cell(p), and floods
-// breadth-first from there: a Q cell whose MBR misses cell(p)'s is
-// skipped, any other is tested and its neighbours and near-twins queued
-// whether or not it joined (the package comment says why this reaches
-// every overlapping cell).
+// joined pair of vertices. For each P vertex in Hilbert order it reads
+// cell(p) from P's table, walks greedily on Q's graph from the previous P
+// vertex's nearest Q vertex to the one nearest a point of cell(p), and
+// floods breadth-first from there: a Q cell whose stored MBR misses
+// cell(p)'s is skipped, any other is tested and its neighbours and
+// near-twins queued whether or not it joined (the package comment says
+// why this reaches every overlapping cell).
 func (f *flooder) flood(lo, hi int32, hit func(v, u int32)) {
-	tp, tq, qc := f.tp, f.tq, f.qc
+	tp, tq := f.tp, f.tq
 	for v := lo; v < hi; v++ {
-		pc := tp.cell(&f.cp, v)
+		pc := tp.storedCell(v)
 		f.pCells++
 		if pc.IsEmpty() {
 			continue
 		}
-		pb := pc.Bounds()
+		pb := tp.bounds[v]
 		// The site is in its own cell unless it lies outside the domain;
 		// then any vertex of the clipped cell serves as the target.
 		target := tp.verts[v]
@@ -156,11 +124,11 @@ func (f *flooder) flood(lo, hi int32, hit func(v, u int32)) {
 		f.push(f.near, v)
 		for h := 0; h < len(f.queue); h++ {
 			u := f.queue[h]
-			if !pb.Intersects(qc.bounds[u]) {
+			if !pb.Intersects(tq.bounds[u]) {
 				continue
 			}
 			f.candidates++
-			if core.CellsJoinWith(&f.cj, pc, qc.poly[u]) {
+			if core.CellsJoinWith(&f.cj, pc, tq.storedCell(u)) {
 				f.trueHits++
 				if hit != nil {
 					hit(v, u)

@@ -62,3 +62,33 @@ func TestTraceDoesNotPerturbResult(t *testing.T) {
 		t.Fatal("tracing perturbed grid counters")
 	}
 }
+
+// TestWaitSpan: a flood on 3 workers in 1-vertex units traces one "wait"
+// span, whose Items (the units the caller blocked on) stay below the
+// units the flood ran, since the caller runs the first itself; a
+// one-worker flood traces none.
+func TestWaitSpan(t *testing.T) {
+	const n = 300
+	gp := NewGraph(dataset.Uniform(n, 71), nil, dataset.Domain)
+	gq := NewGraph(dataset.Clustered(n, 4, 72), nil, dataset.Domain)
+	for _, workers := range []int{1, 3} {
+		opts := DefaultOptions()
+		opts.Trace = obs.NewTrace()
+		joinGraphs(gp, gq, opts, workers, 1)
+		var waits []obs.Span
+		for _, sp := range opts.Trace.Spans() {
+			if sp.Phase == "wait" {
+				waits = append(waits, sp)
+			}
+		}
+		switch {
+		case workers == 1 && len(waits) != 0:
+			t.Fatalf("1 worker traced wait spans %+v", waits)
+		case workers > 1 && (len(waits) != 1 || waits[0].Items >= n):
+			t.Fatalf("%d workers traced wait spans %+v, want one with fewer than %d units", workers, waits, n)
+		}
+		if workers > 1 {
+			t.Logf("%d workers: the caller waited %v for %d units", workers, waits[0].Wall, waits[0].Items)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package grid
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // runUnits calls do(w, u, direct) once for every unit u in [0, units) on
@@ -21,10 +22,14 @@ import (
 // are then skipped, nothing is delivered any more, and once every helper
 // has returned runUnits panics on the caller with the first value
 // recovered, where a request's own recovery sees it.
-func runUnits(workers, units int, do func(w, u int, direct bool), deliver func(u int)) {
+//
+// It returns what the caller spent waiting for units a helper had not
+// finished when the caller needed them.
+func runUnits(workers, units int, do func(w, u int, direct bool), deliver func(u int)) (wait unitWait) {
 	if units <= 0 {
-		return
+		return wait
 	}
+	wait.helped = min(workers, units) > 1
 	r := unitRun{do: do, done: make([]chan struct{}, units)}
 	for u := range r.done {
 		r.done[u] = make(chan struct{})
@@ -51,16 +56,18 @@ func runUnits(workers, units int, do func(w, u int, direct bool), deliver func(u
 	}()
 
 	next := 0 // the first unit not yet delivered
-	flush := func(wait bool) {
+	flush := func(block bool) {
 		for ; next < units && !r.failed.Load(); next++ {
-			if wait {
-				<-r.done[next]
-			} else {
-				select {
-				case <-r.done[next]:
-				default:
+			select {
+			case <-r.done[next]:
+			default:
+				if !block {
 					return
 				}
+				t := time.Now()
+				<-r.done[next]
+				wait.blocked += time.Since(t)
+				wait.units++
 			}
 			if deliver != nil && !r.failed.Load() {
 				deliver(next)
@@ -76,6 +83,15 @@ func runUnits(workers, units int, do func(w, u int, direct bool), deliver func(u
 		flush(false)
 	}
 	flush(true)
+	return wait
+}
+
+// unitWait is the time the caller of runUnits spent blocked on units that
+// helpers were still running, and on how many units.
+type unitWait struct {
+	helped  bool // the units ran on more than one goroutine
+	blocked time.Duration
+	units   int
 }
 
 // unitRun is the shared state of one runUnits call.

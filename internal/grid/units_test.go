@@ -9,14 +9,16 @@ import (
 )
 
 // TestRunUnitsOrder: every unit runs once, and the caller sees each unit
-// once in unit order, as a direct run or a delivery. Unit 0 runs direct.
+// once in unit order, as a direct run or a delivery. Unit 0 runs direct,
+// so the caller blocks on at most the other units, and only when helpers
+// ran.
 func TestRunUnitsOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, units := range []int{1, 2, 5, 40} {
 			name := fmt.Sprintf("%d workers, %d units", workers, units)
 			runs := make([]atomic.Int32, units)
 			var seen []int
-			runUnits(workers, units, func(w, u int, direct bool) {
+			wait := runUnits(workers, units, func(w, u int, direct bool) {
 				runs[u].Add(1)
 				if direct {
 					if w != 0 {
@@ -37,6 +39,9 @@ func TestRunUnitsOrder(t *testing.T) {
 			}
 			if len(seen) != units || seen[0] != 0 {
 				t.Fatalf("%s: the caller saw units %v", name, seen)
+			}
+			if helped := min(workers, units) > 1; wait.helped != helped || wait.units >= units || (!helped && wait.blocked != 0) {
+				t.Fatalf("%s: runUnits reported %+v", name, wait)
 			}
 		}
 	}

@@ -12,11 +12,12 @@
 //     percentage of its data pages, and an rtree.Tree bulk-loaded over
 //     that buffer at ingest time — so serving a tree join never pays
 //     index construction. Each version also carries its Delaunay graph
-//     (grid.Graph over its live points). The first grid join that needs
-//     it builds it inside its admission slot, concurrent joins wait for
-//     that build, and every later grid join of the version reuses it in
-//     either operand role. Ingest does not build it: that would add
-//     about 12 ms per 10k points to every set-up, grid join or not.
+//     and Voronoi cells (grid.Graph over its live points). The first grid
+//     join that needs it builds it inside its admission slot, concurrent
+//     joins wait for that build, and every later grid join of the version
+//     reuses it in either operand role. Ingest does not build it: that
+//     would add about 15–20 ms per 10k points to every set-up, grid join
+//     or not.
 //     Ingesting a name again replaces the whole Dataset value and bumps
 //     a registry-scoped version counter; in-flight queries keep reading
 //     the old dataset's disk (immutable after build), new queries see

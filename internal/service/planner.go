@@ -220,11 +220,12 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 }
 
 // graphsOf fetches both operands' graphs concurrently, so a join that
-// builds both pays one triangulation's wall time, and then traces this
-// request's share of each as the operand's "triangulate" span, p before
-// q: the wall time spent building the graph or waiting for a concurrent
-// build (~0 on reuse), and as Items the points this request triangulated
-// (0 unless it built the graph). A failed build panics on the caller.
+// builds both pays one build's wall time, and then traces this request's
+// share of each as the operand's "triangulate" span, p before q: the wall
+// time spent building the graph (its triangulation and its cells) or
+// waiting for a concurrent build (~0 on reuse), and as Items the points
+// this request triangulated (0 unless it built the graph). A failed build
+// panics on the caller.
 func graphsOf(left, right *Dataset, tr *obs.Trace) (gp, gq *grid.Graph) {
 	type fetch struct {
 		g     *grid.Graph

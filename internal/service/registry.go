@@ -55,9 +55,9 @@ type Dataset struct {
 	Pages int
 	// BufferPages is the LRU capacity each query view forks with.
 	BufferPages int
-	// graph is the version's Delaunay graph, built on first use (Graph);
-	// every Dataset value starts without one, so no version inherits
-	// another's.
+	// graph is the version's Delaunay graph with its Voronoi cells, built
+	// on first use (Graph); every Dataset value starts without one, so no
+	// version inherits another's.
 	graph lazyGraph
 }
 
