@@ -30,8 +30,10 @@ race:
 # Ten seconds of coverage-guided fuzzing per target over the bytes the
 # service takes from outside: CSV ingest bodies, the WAL and snapshot page
 # files, and the join and mutation requests through the HTTP handlers
-# (never a 5xx, so never a panic); and over the grid backend's filtered
-# orient/incircle predicates against exact math/big evaluation. Every
+# (never a 5xx, so never a panic); over the grid backend's filtered
+# orient/incircle predicates against exact math/big evaluation; and over
+# graphs derived by local edits on a degenerate lattice against fresh
+# builds of the same points. Every
 # `go test` run replays each target's seed corpus; this searches past it.
 # Minimizing a new input may take 10 executions at most: the default
 # (60s) spends a whole window shrinking the first 3 KB snapshot, and a
@@ -45,6 +47,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzJoinRequest$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run xxx -fuzz '^FuzzMutationRequest$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run xxx -fuzz '^FuzzPredicates$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/grid
+	$(GO) test -run xxx -fuzz '^FuzzDeriveGraph$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/grid
 
 check: build vet race fuzz crash-smoke smoke-server bench-module-smoke
 

@@ -9,6 +9,7 @@ import (
 	"cij/internal/dataset"
 	"cij/internal/delta"
 	"cij/internal/geom"
+	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 )
@@ -268,5 +269,65 @@ func checkDeltaSeed(t *testing.T, seed int64) {
 	}
 	if err := v0.tree.CheckInvariants(); err != nil {
 		t.Fatalf("v0 invariants after mutations: %v", err)
+	}
+}
+
+// TestGraphChurnSeeds is TestDeltaSeeds on Delaunay graphs: across the
+// same seed matrix and batches, each version's graph is derived from the
+// previous one's (grid.Derive), and grid.Churn over the two versions and
+// the opposite side's graph must reproduce the brute-force diff exactly,
+// in both operand orientations.
+func TestGraphChurnSeeds(t *testing.T) {
+	for seed := int64(1); seed <= NumSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			checkGraphChurnSeed(t, seed)
+		})
+	}
+}
+
+func checkGraphChurnSeed(t *testing.T, seed int64) {
+	ps := Generate(seed)
+	rng := rand.New(rand.NewSource(seed * 7919))
+	qGraph := grid.NewGraph(ps.Q, nil, dataset.Domain)
+
+	cur := buildLive(ps.P)
+	pts, ids := cur.livePoints()
+	g := grid.NewGraph(pts, ids, dataset.Domain)
+	curLeft, curRight := cur.brutePairs(ps.Q, true), cur.brutePairs(ps.Q, false)
+	for round := 0; round < 3; round++ {
+		batch := mutationBatch(rng, cur, ps.Q, round)
+		next := cur.apply(batch)
+		pts, ids := next.livePoints()
+		derived := grid.Derive(g, pts, ids)
+		if derived == nil {
+			t.Fatalf("round %d: no derivation", round)
+		}
+		var departed, arrived []geom.Point
+		for _, c := range batch {
+			if c.Op != delta.OpInsert {
+				departed = append(departed, c.Old)
+			}
+			if c.Op != delta.OpDelete {
+				arrived = append(arrived, c.New)
+			}
+		}
+
+		nextLeft, nextRight := next.brutePairs(ps.Q, true), next.brutePairs(ps.Q, false)
+		for _, o := range []struct {
+			name      string
+			left      bool
+			cur, next []core.Pair
+		}{{"left", true, curLeft, nextLeft}, {"right", false, curRight, nextRight}} {
+			wantAdd, wantRem := diffPairs(o.cur, o.next)
+			got := grid.Churn(g, derived, qGraph, departed, arrived, o.left)
+			if !core.SamePairs(got.Added, wantAdd) || !core.SamePairs(got.Removed, wantRem) {
+				t.Fatalf("round %d %s: graph churn +%d/-%d != brute +%d/-%d\nbatch: %+v\nmissing added: %v\nspurious added: %v\nmissing removed: %v\nspurious removed: %v",
+					round, o.name, len(got.Added), len(got.Removed), len(wantAdd), len(wantRem), batch,
+					core.DiffPairs(wantAdd, got.Added), core.DiffPairs(got.Added, wantAdd),
+					core.DiffPairs(wantRem, got.Removed), core.DiffPairs(got.Removed, wantRem))
+			}
+		}
+		cur, g, curLeft, curRight = next, derived, nextLeft, nextRight
 	}
 }

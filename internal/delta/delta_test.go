@@ -11,6 +11,7 @@ import (
 	"cij/internal/core"
 	"cij/internal/dataset"
 	"cij/internal/geom"
+	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 	"cij/internal/voronoi"
@@ -325,6 +326,118 @@ func BenchmarkPairChurnEmptyRegion(b *testing.B) {
 		changes = append(changes, Change{Op: OpInsert, ID: p.next + int64(i), New: pt})
 	}
 	benchChurn(b, []step{{old: p, cur: p.apply(changes), other: q, changes: changes, mutatedLeft: true}})
+}
+
+// joinPoints returns v's live points and their IDs in ascending ID order,
+// as the service's Dataset.JoinPoints gives them to a graph.
+func (v *version) joinPoints() ([]geom.Point, []int64) {
+	ids := v.ids()
+	pts := make([]geom.Point, len(ids))
+	for i, id := range ids {
+		pts[i] = v.pts[id]
+	}
+	return pts, ids
+}
+
+// positions splits a batch into the positions points left and arrived at,
+// the graph churn's view of it.
+func positions(changes []Change) (departed, arrived []geom.Point) {
+	for _, c := range changes {
+		if c.Op != OpInsert {
+			departed = append(departed, c.Old)
+		}
+		if c.Op != OpDelete {
+			arrived = append(arrived, c.New)
+		}
+	}
+	return departed, arrived
+}
+
+// graphSteps runs steps on Delaunay graphs: each step's successor graph
+// is derived from its predecessor's (the first of each side is built),
+// and do receives the step's three graphs.
+func graphSteps(t testing.TB, steps []step, do func(s step, old, cur, other *grid.Graph)) {
+	var graphs [2]*grid.Graph
+	for _, s := range steps[:2] {
+		pts, ids := s.old.joinPoints()
+		graphs[map[bool]int{true: 0, false: 1}[s.mutatedLeft]] = grid.NewGraph(pts, ids, domain)
+	}
+	for _, s := range steps {
+		side := map[bool]int{true: 0, false: 1}[s.mutatedLeft]
+		pts, ids := s.cur.joinPoints()
+		cur := grid.Derive(graphs[side], pts, ids)
+		if cur == nil {
+			t.Fatal("no derivation")
+		}
+		do(s, graphs[side], cur, graphs[1-side])
+		graphs[side] = cur
+	}
+}
+
+// TestGraphChurnMatchesPairChurn holds grid.Churn on derived graphs to
+// PairChurn on trees, batch for batch on the mutate-live shape: the
+// service churns on graphs, and the service benchmark's traced shadow
+// cross-checks it with PairChurn.
+func TestGraphChurnMatchesPairChurn(t *testing.T) {
+	graphSteps(t, mutateLive(3000, 12, 3), func(s step, old, cur, other *grid.Graph) {
+		want := PairChurn(s.old.view(), s.cur.view(), s.other.view(), s.changes, s.mutatedLeft, domain)
+		departed, arrived := positions(s.changes)
+		got := grid.Churn(old, cur, other, departed, arrived, s.mutatedLeft)
+		if !core.SamePairs(got.Added, want.Added) || !core.SamePairs(got.Removed, want.Removed) {
+			t.Fatalf("graph churn +%d/-%d, PairChurn +%d/-%d", len(got.Added), len(got.Removed), len(want.Added), len(want.Removed))
+		}
+	})
+}
+
+// BenchmarkGraphChurn is BenchmarkPairChurn on Delaunay graphs: one op
+// derives the batch's successor graph from its predecessor's and runs
+// grid.Churn over the two and the opposite side's graph, on the same
+// 60-batch sequence. The sequence's first graph of each side is built
+// before the timer starts, and again whenever the ops wrap around it.
+func BenchmarkGraphChurn(b *testing.B) {
+	steps := mutateLive(10000, 60, 1)
+	type prepared struct {
+		s                 step
+		pts               []geom.Point
+		ids               []int64
+		departed, arrived []geom.Point
+	}
+	ps := make([]prepared, len(steps))
+	for i, s := range steps {
+		ps[i].s = s
+		ps[i].pts, ps[i].ids = s.cur.joinPoints()
+		ps[i].departed, ps[i].arrived = positions(s.changes)
+	}
+	var graphs [2]*grid.Graph
+	start := func() {
+		for side, s := range steps[:2] {
+			pts, ids := s.old.joinPoints()
+			graphs[side] = grid.NewGraph(pts, ids, domain)
+		}
+	}
+	var cells, probes, churn int
+	b.ResetTimer()
+	for i := range b.N {
+		if i%len(ps) == 0 {
+			b.StopTimer()
+			start()
+			b.StartTimer()
+		}
+		p := ps[i%len(ps)]
+		side := i % 2
+		cur := grid.Derive(graphs[side], p.pts, p.ids)
+		if cur == nil {
+			b.Fatal("no derivation")
+		}
+		res := grid.Churn(graphs[side], cur, graphs[1-side], p.departed, p.arrived, p.s.mutatedLeft)
+		graphs[side] = cur
+		cells += cur.Clipped()
+		probes += int(res.Candidates)
+		churn += len(res.Added) + len(res.Removed)
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(churn)/float64(b.N), "churn/op")
 }
 
 // benchChurn runs PairChurn over steps cyclically, one step per op, and

@@ -9,14 +9,17 @@ import (
 )
 
 // triangulation is the Delaunay triangulation of one operand's distinct
-// points plus four sentinels: the build state NewGraph lays a Graph out
-// from and then drops.
+// points plus four sentinels: the build state a Graph is laid out from.
+// The graph keeps its vertices, member lists and half-edges.
 //
 // Triangle t owns half-edges 3t, 3t+1 and 3t+2, counter-clockwise;
 // half-edge e runs from vertex tri[e] to the origin of the next half-edge
 // of its triangle, and twin[e] is the opposite half-edge (−1 on the four
 // outer edges of the sentinel frame).
 type triangulation struct {
+	// box is domain ∪ bbox(points): the Hilbert order's frame, which also
+	// places the sentinels.
+	box geom.Rect
 	// verts holds the distinct input points in Hilbert order, then the
 	// four sentinels: vertices below n are real.
 	verts []geom.Point
@@ -28,6 +31,13 @@ type triangulation struct {
 	tri, twin   []int32
 	last        int32   // the last triangle created, where the next walk starts
 	stack       []int32 // half-edges awaiting the Delaunay check
+	// out, when non-nil, records for every vertex of a triangle written
+	// since it was set a half-edge leaving it (−1 for the others): the
+	// vertices whose neighbour lists a derivation's edits may have changed.
+	out []int32
+	// free lists the slots of triangles a removal killed, which new
+	// triangles take first.
+	free []int32
 }
 
 // next and prev step around the triangle of half-edge e.
@@ -42,8 +52,8 @@ func triangulate(pts []geom.Point, domain geom.Rect) *triangulation {
 	for _, p := range pts {
 		box = box.UnionPoint(p)
 	}
-	t := &triangulation{}
-	t.mergeInHilbertOrder(pts, box)
+	t := &triangulation{box: box}
+	t.mergeInHilbertOrder(pts)
 
 	// Every point of box has a real site within its diameter, and every
 	// sentinel lies more than twice that away from box.
@@ -58,43 +68,52 @@ func triangulate(pts []geom.Point, domain geom.Rect) *triangulation {
 	copy(t.tri, []int32{n, n + 1, n + 2, n, n + 2, n + 3})
 	copy(t.twin, []int32{-1, -1, 3, 2, -1, -1})
 	for v := int32(0); v < n; v++ {
-		// Split the triangle holding v 1→3, or the two on the edge it lies
-		// on 2→4, and flip until the triangulation is Delaunay again.
-		if tr, e := t.locate(v); e < 0 {
-			t.split3(tr, v)
-		} else {
-			t.split4(e, v)
-		}
-		t.legalize()
+		t.insert(v)
 	}
 	return t
 }
 
-// mergeInHilbertOrder sorts pts along the Hilbert curve over box and
-// fills verts and the member lists, one vertex per distinct point.
-func (t *triangulation) mergeInHilbertOrder(pts []geom.Point, box geom.Rect) {
+// insert adds vertex v, which lies strictly inside the sentinel frame and
+// on no other vertex: it splits the triangle holding v 1→3, or the two on
+// the edge v lies on 2→4, and flips until the triangulation is Delaunay
+// again.
+func (t *triangulation) insert(v int32) {
+	if tr, e := locate(t.verts, t.tri, t.twin, t.last, t.verts[v]); e < 0 {
+		t.split3(tr, v)
+	} else {
+		t.split4(e, v)
+	}
+	t.legalize()
+}
+
+// mergeInHilbertOrder sorts pts along the Hilbert curve over t.box and
+// fills verts and the member lists, one vertex per distinct point. Points
+// with equal Hilbert values go by coordinates, so identical points end up
+// next to each other, and then by input index.
+func (t *triangulation) mergeInHilbertOrder(pts []geom.Point) {
+	// The curve's order-16 values fit 32 bits; the sort moves 8-byte keys
+	// and reads coordinates only on ties.
 	type keyed struct {
-		h  uint64
-		pt geom.Point
-		i  int32
+		h uint32
+		i int32
 	}
 	ks := make([]keyed, len(pts))
 	for i, p := range pts {
-		ks[i] = keyed{geom.HilbertValue(p, box), p, int32(i)}
+		ks[i] = keyed{uint32(geom.HilbertValue(p, t.box)), int32(i)}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if a.h != b.h {
 			return cmp.Compare(a.h, b.h)
 		}
-		return cmp.Or(cmp.Compare(a.pt.X, b.pt.X), cmp.Compare(a.pt.Y, b.pt.Y), cmp.Compare(a.i, b.i))
+		return cmp.Or(comparePoints(pts[a.i], pts[b.i]), cmp.Compare(a.i, b.i))
 	})
 	t.members = make([]int32, len(ks))
 	t.verts = make([]geom.Point, 0, len(ks)+4)
 	t.memberStart = make([]int32, 0, len(ks)+1)
 	for i, k := range ks {
 		t.members[i] = k.i
-		if i == 0 || k.pt != ks[i-1].pt {
-			t.verts = append(t.verts, k.pt)
+		if i == 0 || pts[k.i] != pts[ks[i-1].i] {
+			t.verts = append(t.verts, pts[k.i])
 			t.memberStart = append(t.memberStart, int32(i))
 		}
 	}
@@ -102,36 +121,56 @@ func (t *triangulation) mergeInHilbertOrder(pts []geom.Point, box geom.Rect) {
 	t.n = int32(len(t.verts))
 }
 
-// locate walks from the last triangle created towards vertex v, crossing
-// any edge that has v strictly on its far side. In a Delaunay
-// triangulation this visibility walk cannot cycle. It returns the
-// triangle whose closure holds v and, when v lies on one of its edges,
-// that half-edge (else −1).
-func (t *triangulation) locate(v int32) (tri, edge int32) {
-	tri, entry := t.last, int32(-1)
+// comparePoints orders points by x, then y.
+func comparePoints(a, b geom.Point) int {
+	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
+}
+
+// compareHilbert orders distinct points as the vertex order over box
+// does: by Hilbert value, then by coordinates.
+func compareHilbert(a, b geom.Point, box geom.Rect) int {
+	return cmp.Or(cmp.Compare(geom.HilbertValue(a, box), geom.HilbertValue(b, box)), comparePoints(a, b))
+}
+
+// locate walks the triangulation (verts, tri, twin) from triangle from
+// towards x, crossing any edge that has x strictly on its far side. In a
+// Delaunay triangulation this visibility walk cannot cycle. It returns the
+// triangle whose closure holds x and, when x lies on one of its edges,
+// that half-edge (else −1). It writes nothing, so any number of walks may
+// share one triangulation.
+func locate(verts []geom.Point, tri, twin []int32, from int32, x geom.Point) (t, edge int32) {
+	t, entry := from, int32(-1)
 walk:
 	for {
 		edge = -1
-		for e := 3 * tri; e < 3*tri+3; e++ {
+		for e := 3 * t; e < 3*t+3; e++ {
 			if e == entry {
-				continue // v lies strictly on this side of the edge we came in by
+				continue // x lies strictly on this side of the edge we came in by
 			}
-			switch orient(t.verts[t.tri[e]], t.verts[t.tri[next(e)]], t.verts[v]) {
+			switch orient(verts[tri[e]], verts[tri[next(e)]], x) {
 			case -1:
-				entry = t.twin[e]
-				tri = entry / 3
+				entry = twin[e]
+				t = entry / 3
 				continue walk
 			case 0:
 				edge = e
 			}
 		}
-		return tri, edge
+		return t, edge
 	}
 }
 
 // addTriangle appends triangle (a, b, c) with all twins unset and returns
 // its index.
 func (t *triangulation) addTriangle(a, b, c int32) int32 {
+	if k := len(t.free); k > 0 {
+		tr := t.free[k-1]
+		t.free = t.free[:k-1]
+		copy(t.tri[3*tr:], []int32{a, b, c})
+		copy(t.twin[3*tr:], []int32{-1, -1, -1})
+		t.last = tr
+		return tr
+	}
 	tr := int32(len(t.tri) / 3)
 	t.tri = append(t.tri, a, b, c)
 	t.twin = append(t.twin, -1, -1, -1)
@@ -162,6 +201,7 @@ func (t *triangulation) split3(tr, v int32) {
 	t.link(3*t1+1, 3*t2+2)
 	t.link(3*t2+1, e0+2)
 	t.stack = append(t.stack, e0, 3*t1, 3*t2)
+	t.touch(tr, t1, t2)
 }
 
 // split4 splits the two triangles on half-edge e = x→y, (x, y, u) and
@@ -185,6 +225,7 @@ func (t *triangulation) split4(e, v int32) {
 	t.link(3*t1+1, oy)
 	t.link(3*t2+1, ox)
 	t.stack = append(t.stack, prev(e), prev(f), 3*t1+1, 3*t2+1)
+	t.touch(e/3, f/3, t1, t2)
 }
 
 // legalize empties the stack of half-edges opposite the new vertex,
@@ -212,51 +253,150 @@ func (t *triangulation) legalize() {
 		t.link(f, hpe)
 		t.link(pe, pf)
 		t.stack = append(t.stack, e, next(f))
+		t.touch(e/3, f/3)
 	}
 }
 
-// graph lays out the real vertices' Delaunay neighbours (every edge
-// between real vertices is interior, so each has one outgoing half-edge
-// per neighbour) and rings each near-twin cluster: a component of the
-// Delaunay edges under 3·Eps in both coordinates, which holds every path
-// of sites Eq to one site. The graph shares t's vertices and member
-// lists, and none of its triangles.
-func (t *triangulation) graph() *Graph {
-	g := &Graph{
-		verts:       t.verts[:t.n],
-		n:           t.n,
-		members:     t.members,
-		memberStart: t.memberStart,
-		adjStart:    make([]int32, t.n+1),
-		ring:        make([]int32, t.n),
+// touch records, when t.out is set, a half-edge leaving each corner of
+// triangles trs. A vertex that loses a triangle to an edit is a corner of
+// another triangle the same edit writes, so each recorded half-edge still
+// leaves its vertex once the edits are done.
+func (t *triangulation) touch(trs ...int32) {
+	if t.out == nil {
+		return
 	}
-	for e := range t.tri {
-		if u, w := t.tri[e], t.tri[next(int32(e))]; u < t.n && w < t.n {
-			g.adjStart[u+1]++
+	for _, tr := range trs {
+		for e := 3 * tr; e < 3*tr+3; e++ {
+			t.out[t.tri[e]] = e
 		}
 	}
-	for v := int32(1); v <= t.n; v++ {
-		g.adjStart[v] += g.adjStart[v-1]
-		g.ring[v-1] = v - 1
+}
+
+// graph lays out the real vertices' Delaunay neighbours and rings each
+// near-twin cluster, and keeps t's vertices, member lists and half-edges.
+// Both layouts are canonical: they depend on the vertex order, the member
+// lists and the neighbour sets, never on the order t's triangles were made
+// in, so a graph derived by local edits lays out exactly as a fresh build
+// of the same points does, and clips the same cells.
+//
+// A vertex's neighbours are listed by their first members' input indices,
+// ascending (see byFirst); every edge between real vertices is interior,
+// so each has one outgoing half-edge per neighbour. A cluster is a
+// component of the Delaunay edges under 3·Eps in both coordinates, which
+// holds every path of sites Eq to one site; its ring runs through its
+// vertices in ascending order and back.
+func (t *triangulation) graph() *Graph {
+	n := t.n
+	g := &Graph{
+		box:         t.box,
+		verts:       t.verts,
+		n:           n,
+		members:     t.members,
+		memberStart: t.memberStart,
+		tri:         t.tri,
+		twin:        t.twin,
+		adjStart:    make([]int32, n+1),
+		ring:        make([]int32, n),
 	}
-	g.adj = make([]int32, g.adjStart[t.n])
-	fill := slices.Clone(g.adjStart[:t.n])
-	for e := range t.tri {
-		if u, w := t.tri[e], t.tri[next(int32(e))]; u < t.n && w < t.n {
-			g.adj[fill[u]] = w
-			fill[u]++
-			if d := t.verts[w].Sub(t.verts[u]); math.Abs(d.X) < 3*geom.Eps && math.Abs(d.Y) < 3*geom.Eps {
-				x := g.ring[u]
-				for x != u && x != w {
-					x = g.ring[x]
-				}
-				if x == u { // w is on another ring: splice the two
-					g.ring[u], g.ring[w] = g.ring[w], g.ring[u]
-				}
+	// Each triangle (a, b, c) holds half-edges a→b, b→c and c→a.
+	for e := 0; e < len(t.tri); e += 3 {
+		a, b, c := t.tri[e], t.tri[e+1], t.tri[e+2]
+		for _, h := range [3][2]int32{{a, b}, {b, c}, {c, a}} {
+			if h[0] < n && h[1] < n {
+				g.adjStart[h[0]+1]++
 			}
 		}
 	}
+	for v := int32(1); v <= n; v++ {
+		g.adjStart[v] += g.adjStart[v-1]
+	}
+	g.adj = make([]int32, g.adjStart[n])
+	fill := g.ring // until the rings are laid: where v's next neighbour goes
+	copy(fill, g.adjStart[:n])
+	for e := 0; e < len(t.tri); e += 3 {
+		a, b, c := t.tri[e], t.tri[e+1], t.tri[e+2]
+		for _, h := range [3][2]int32{{a, b}, {b, c}, {c, a}} {
+			if u, w := h[0], h[1]; u < n && w < n {
+				g.adj[fill[u]] = w
+				fill[u]++
+			}
+		}
+	}
+	for v := range n {
+		g.byFirst(g.neighbors(v))
+	}
+	g.ringClusters(nil)
 	return g
+}
+
+// byFirst sorts vertices by their first members' input indices, the order
+// voronoi.BruteCell clips their sites in. An insertion sort: a neighbour
+// list holds about six.
+func (g *Graph) byFirst(list []int32) {
+	first := func(v int32) int32 { return g.members[g.memberStart[v]] }
+	for i := 1; i < len(list); i++ {
+		for j := i; j > 0 && first(list[j]) < first(list[j-1]); j-- {
+			list[j], list[j-1] = list[j-1], list[j]
+		}
+	}
+}
+
+// ringClusters links every near-twin cluster into a ring in ascending
+// vertex order; a vertex with no edge under 3·Eps rings to itself. The
+// clusters are found by union-find over the short edges, with ring as
+// the parent table. Only the edges of the vertices in from are examined,
+// or of every vertex when from is nil; from must hold both ends of every
+// short edge.
+func (g *Graph) ringClusters(from []int32) {
+	for v := range g.ring {
+		g.ring[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for g.ring[v] != v {
+			g.ring[v] = g.ring[g.ring[v]]
+			v = g.ring[v]
+		}
+		return v
+	}
+	var twins []int32 // the vertices with a short edge
+	for k := 0; k < len(from) || from == nil && k < int(g.n); k++ {
+		v := int32(k)
+		if from != nil {
+			v = from[k]
+		}
+		short := false
+		for _, w := range g.neighbors(v) {
+			if d := g.verts[w].Sub(g.verts[v]); math.Abs(d.X) < 3*geom.Eps && math.Abs(d.Y) < 3*geom.Eps {
+				short = true
+				if a, b := find(v), find(w); a != b {
+					g.ring[max(a, b)] = min(a, b)
+				}
+			}
+		}
+		if short {
+			twins = append(twins, v)
+		}
+	}
+	if g.twins = len(twins) > 0; !g.twins {
+		return
+	}
+	type member struct{ root, v int32 }
+	ms := make([]member, len(twins))
+	for i, v := range twins {
+		ms[i] = member{find(v), v}
+	}
+	slices.SortFunc(ms, func(a, b member) int { return cmp.Or(cmp.Compare(a.root, b.root), cmp.Compare(a.v, b.v)) })
+	for i := 0; i < len(ms); {
+		j := i + 1
+		for j < len(ms) && ms[j].root == ms[i].root {
+			j++
+		}
+		for k := i; k < j-1; k++ {
+			g.ring[ms[k].v] = ms[k+1].v
+		}
+		g.ring[ms[j-1].v] = ms[i].v
+		i = j
+	}
 }
 
 // neighbors returns the real Delaunay neighbours of real vertex v.
@@ -277,34 +417,92 @@ func (g *Graph) id(i int32) int64 {
 	return g.ids[i]
 }
 
+// cellScratch is what computing cells needs beyond the graph: a clipper
+// and the sites a near-twin cell clips by.
+type cellScratch struct {
+	cl    geom.Clipper
+	sites []int32
+}
+
 // cell computes the cell of real vertex v as voronoi.BruteCell defines it:
-// the domain clipped by the bisector of every site not within Eps of v,
-// of which only the neighbours of the Eq sites of v's cluster can cut it
-// (see the package comment). The result follows cl's aliasing contract.
-func (g *Graph) cell(cl *geom.Clipper, v int32) geom.Polygon {
-	poly := cl.Seed(g.domain)
+// the domain clipped by the bisector of every site not within Eps of v, in
+// ascending order of the sites' input indices. Only the neighbours of the
+// Eq sites of v's cluster can cut it, but clipping keeps what lies within
+// Eps of a bisector, so where two near-twins' bisectors run within Eps of
+// each other the one clipped first bounds the cell. A cell therefore clips
+// by its neighbours' whole clusters, in BruteCell's order (see the package
+// comment). The result follows cs.cl's aliasing contract.
+func (g *Graph) cell(cs *cellScratch, v int32) geom.Polygon {
 	site := g.verts[v]
+	sites := g.neighbors(v)
+	if g.twins && !g.lone(v) {
+		sites = g.clipSites(cs, v)
+	}
+	poly := cs.cl.Seed(g.domain)
+	for _, w := range sites {
+		if s := g.verts[w]; !s.Eq(site) {
+			if poly = cs.cl.Clip(poly, geom.Bisector(site, s)); poly.IsEmpty() {
+				return poly
+			}
+		}
+	}
+	return poly
+}
+
+// lone reports whether neither v nor any neighbour of it has a near-twin,
+// so v's cell clips by its neighbour list alone.
+func (g *Graph) lone(v int32) bool {
+	if g.ring[v] != v {
+		return false
+	}
+	for _, w := range g.neighbors(v) {
+		if g.ring[w] != w {
+			return false
+		}
+	}
+	return true
+}
+
+// clipSites returns, in cs.sites, the sites v's cell clips by, each once,
+// by first member: the clusters of the neighbours of the Eq sites of v's
+// cluster.
+func (g *Graph) clipSites(cs *cellScratch, v int32) []int32 {
+	site := g.verts[v]
+	cs.sites = cs.sites[:0]
 	for u := v; ; {
 		if g.verts[u].Eq(site) {
-			for _, w := range g.neighbors(u) {
-				if s := g.verts[w]; !s.Eq(site) {
-					if poly = cl.Clip(poly, geom.Bisector(site, s)); poly.IsEmpty() {
-						return poly
+			for _, w0 := range g.neighbors(u) {
+				for w := w0; ; {
+					cs.sites = append(cs.sites, w)
+					if w = g.ring[w]; w == w0 {
+						break
 					}
 				}
 			}
 		}
 		if u = g.ring[u]; u == v {
-			return poly
+			break
 		}
 	}
+	slices.SortFunc(cs.sites, func(a, b int32) int {
+		return cmp.Compare(g.members[g.memberStart[a]], g.members[g.memberStart[b]])
+	})
+	cs.sites = slices.Compact(cs.sites)
+	return cs.sites
 }
 
 // storedCell returns the cell of real vertex v from g's table. Its
 // vertices are g's and must not be written.
 func (g *Graph) storedCell(v int32) geom.Polygon {
-	lo, hi := g.cellStart[v], g.cellStart[v+1]
-	return geom.Polygon{V: g.cells[lo:hi:hi]}
+	return geom.Polygon{V: g.cellRun(v, v+1)}
+}
+
+// cellRun returns the cells of vertices [lo, hi), which lie in one chunk,
+// back to back. Its points are g's and must not be written.
+func (g *Graph) cellRun(lo, hi int32) []geom.Point {
+	c := &g.cells[lo>>g.cellShift]
+	from, to := g.cellStart[lo]-c.base, g.cellStart[hi]-c.base
+	return c.pts[from:to:to]
 }
 
 // nearest walks greedily on the Delaunay graph from real vertex from to

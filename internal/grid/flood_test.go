@@ -74,8 +74,8 @@ func sites(p []geom.Point, pairs []core.Pair) []geom.Point {
 
 // TestStoredCells holds a one-worker build's cell table to the cells
 // Graph.cell computes: each stored cell bit for bit, and its MBR to the
-// cell's Bounds. The table computed on 1, 2, 3 or 8 workers with 1-, 7- or
-// 64-vertex units must be identical, its arena exactly full. The inputs
+// cell's Bounds. The table computed on 1, 2, 3 or 8 workers in 1-, 8- or
+// 64-vertex chunks must be identical, every chunk's arena exactly full. The inputs
 // are both operands of the equivalence suite's seeds and of the near-twin
 // families, the lattice and its half-shifted copy, and an empty and a
 // one-point set.
@@ -93,7 +93,10 @@ func TestStoredCells(t *testing.T) {
 		for i, pts := range [][]geom.Point{j.P, j.Q} {
 			name := fmt.Sprintf("%s, %c", j.Name, "PQ"[i])
 			want := grid.NewGraphWith(pts, nil, dataset.Domain, 1, 0)
-			cells, start, bounds := want.CellTable()
+			cells, start, bounds, full := want.CellTable()
+			if !full {
+				t.Fatalf("%s: a chunk's arena is not exactly full", name)
+			}
 			for v := range len(start) - 1 {
 				c := cells[start[v]:start[v+1]]
 				if r := want.Cell(v); !sameBits(c, r.V) || bounds[v] != r.Bounds() {
@@ -101,10 +104,10 @@ func TestStoredCells(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, size := range []int{1, 7, 64} {
-					gc, gs, gb := want.CellTableWith(workers, size)
-					if !sameBits(gc, cells) || !slices.Equal(gs, start) || !slices.Equal(gb, bounds) || cap(gc) != len(gc) {
-						t.Fatalf("%s, %d workers, %d-vertex units: the cell table differs from the 1-worker build's", name, workers, size)
+				for _, size := range []int{1, 8, 64} {
+					gc, gs, gb, full := want.CellTableWith(workers, size)
+					if !sameBits(gc, cells) || !slices.Equal(gs, start) || !slices.Equal(gb, bounds) || !full {
+						t.Fatalf("%s, %d workers, %d-vertex chunks: the cell table differs from the 1-worker build's", name, workers, size)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -36,91 +37,134 @@ func DefaultOptions() Options {
 }
 
 // Graph is the Delaunay graph of one pointset over a domain: what a join
-// reads of the pointset's triangulation. It is immutable once built, so
-// any number of joins may read one concurrently, as either operand.
+// reads of the pointset's triangulation, and the triangulation itself,
+// from which Derive computes a successor's graph. It is immutable once
+// built, so any number of joins may read one concurrently, as either
+// operand.
 type Graph struct {
 	domain geom.Rect
-	// verts holds the distinct input points in Hilbert order.
+	box    geom.Rect // domain ∪ bbox(points): the Hilbert order's frame
+	// verts holds the distinct input points in Hilbert order, then the
+	// four sentinels of the triangulation's frame: vertices below n are
+	// real.
 	verts []geom.Point
 	n     int32
 	// members lists the input indices merged into vertex v (identical
-	// points) in members[memberStart[v]:memberStart[v+1]]; ids, when
-	// non-nil, maps an input index to the ID its pairs report.
+	// points) in members[memberStart[v]:memberStart[v+1]], ascending; ids,
+	// when non-nil, maps an input index to the ID its pairs report.
 	members     []int32
 	memberStart []int32
 	ids         []int64
 	// adj lists the real Delaunay neighbours of vertex v in
-	// adj[adjStart[v]:adjStart[v+1]]; edges to sentinels are dropped.
+	// adj[adjStart[v]:adjStart[v+1]], by first member (see byFirst);
+	// edges to sentinels are dropped.
 	adj      []int32
 	adjStart []int32
 	ring     []int32 // the next vertex of v's near-twin cluster, a cycle (see graph)
-	// cells holds every vertex's cell back to back in vertex order: v's
-	// is cells[cellStart[v]:cellStart[v+1]], empty when no part of the
-	// domain is nearest to it, and bounds[v] is its MBR.
-	cells     []geom.Point
+	twins    bool    // some cluster holds more than one vertex
+	// cells holds every vertex's cell back to back in vertex order, cut
+	// into chunks of 1<<cellShift vertices, each an arena of exactly its
+	// cells' length. v's cell runs from cellStart[v] to cellStart[v+1] in
+	// the offsets of the whole table (see storedCell), empty when no part
+	// of the domain is nearest to it, and bounds[v] is its MBR.
+	cells     []cellChunk
+	cellShift uint8
 	cellStart []int32
 	bounds    []geom.Rect
+	// tri and twin are the triangulation's half-edges (see triangulation),
+	// kept for Derive and for point location.
+	tri, twin []int32
+	// clipped is how many cells the graph's construction clipped: every
+	// one for a build, the changed neighbourhoods' for a derivation.
+	clipped int
 }
 
 // NewGraph triangulates pts over domain (see the package comment) and
-// keeps the graph a join reads, every vertex's cell included; the
-// triangles go once it is laid out. ids, when non-nil, holds the ID each
-// point reports in pairs (ids[i] for pts[i]); nil reports positions. The
-// cells are computed on up to GOMAXPROCS goroutines.
+// keeps the graph a join reads, every vertex's cell included, and the
+// triangulation it was laid out from. ids, when non-nil, holds the ID
+// each point reports in pairs (ids[i] for pts[i]); nil reports positions.
+// The cells are computed on up to GOMAXPROCS goroutines.
 func NewGraph(pts []geom.Point, ids []int64, domain geom.Rect) *Graph {
 	return newGraph(pts, ids, domain, runtime.GOMAXPROCS(0), 0)
 }
 
 // newGraph is NewGraph computing the cells on at most workers goroutines,
-// in units of size vertices (0 sizes them from the pointset, see
-// unitCount).
+// in chunks of size vertices, a power of two (0 for 1<<cellShift).
 func newGraph(pts []geom.Point, ids []int64, domain geom.Rect, workers, size int) *Graph {
 	if ids != nil && len(ids) != len(pts) {
 		panic("grid: NewGraph with an ID table that does not match its points")
 	}
 	g := triangulate(pts, domain).graph()
 	g.domain, g.ids = domain, ids
-	g.storeCells(workers, size)
+	shift := uint8(cellShift)
+	if size > 0 {
+		shift = uint8(bits.TrailingZeros(uint(size)))
+	}
+	g.storeCells(workers, shift)
 	return g
 }
 
-// storeCells fills the cell table over contiguous units of vertices. Each
-// unit clips its cells into a buffer of its own, on any worker, and the
-// buffers are then copied back to back into one arena of exactly their
-// total length.
-func (g *Graph) storeCells(workers, size int) {
-	k := unitCount(int(g.n), workers, size)
+// cellShift sizes a cell chunk: 512 vertices' cells, about 48 KB on
+// uniform data. A build clips a chunk at a time on each worker into a
+// buffer the worker reuses, so its only other allocation is the chunk's
+// own exact-size arena.
+const cellShift = 9
+
+// cellChunk is one arena of the cell table: the cells of its vertices
+// back to back, from table offset base on.
+type cellChunk struct {
+	base int32
+	pts  []geom.Point
+}
+
+// Clipped returns how many cells the graph's construction clipped: every
+// vertex's for NewGraph, the changed neighbourhoods' for Derive.
+func (g *Graph) Clipped() int { return g.clipped }
+
+// storeCells fills the cell table in chunks of 1<<shift vertices, one
+// unit of work each on up to workers goroutines. A worker clips a chunk's
+// cells into the one buffer it reuses across its chunks and copies them
+// into the chunk's arena, allocated at exactly their length.
+func (g *Graph) storeCells(workers int, shift uint8) {
+	g.cellShift = shift
+	k := int((g.n + 1<<shift - 1) >> shift)
 	g.cellStart = make([]int32, g.n+1)
 	g.bounds = make([]geom.Rect, g.n)
-	bufs := make([][]geom.Point, k)
-	cls := make([]*geom.Clipper, min(workers, k))
+	g.cells = make([]cellChunk, k)
+	type cellWorker struct {
+		cs  cellScratch
+		buf []geom.Point
+	}
+	ws := make([]*cellWorker, min(workers, k))
 	runUnits(workers, k, func(w, u int, _ bool) {
-		if cls[w] == nil {
-			cls[w] = new(geom.Clipper)
+		if ws[w] == nil {
+			ws[w] = &cellWorker{buf: make([]geom.Point, 0, 8<<shift)}
 		}
-		lo, hi := unitSpan(u, k, g.n)
-		buf := make([]geom.Point, 0, 8*(hi-lo))
+		cw := ws[w]
+		lo, hi := g.chunkSpan(u)
+		cw.buf = cw.buf[:0]
 		for v := lo; v < hi; v++ {
-			c := g.cell(cls[w], v)
-			buf = append(buf, c.V...)
-			g.cellStart[v+1] = int32(len(buf)) // offset within the unit until the copy
+			c := g.cell(&cw.cs, v)
+			cw.buf = append(cw.buf, c.V...)
+			g.cellStart[v+1] = int32(len(c.V)) // the cell's length until the sums below
 			g.bounds[v] = c.Bounds()
 		}
-		bufs[u] = buf
+		g.cells[u].pts = make([]geom.Point, len(cw.buf))
+		copy(g.cells[u].pts, cw.buf)
 	}, nil)
-	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
+	for v := int32(1); v <= g.n; v++ {
+		g.cellStart[v] += g.cellStart[v-1]
 	}
-	g.cells = make([]geom.Point, total)
-	at := int32(0)
-	for u, buf := range bufs {
-		lo, hi := unitSpan(u, k, g.n)
-		for v := lo + 1; v <= hi; v++ {
-			g.cellStart[v] += at
-		}
-		at += int32(copy(g.cells[at:], buf))
+	for u := range g.cells {
+		lo, _ := g.chunkSpan(u)
+		g.cells[u].base = g.cellStart[lo]
 	}
+	g.clipped = int(g.n)
+}
+
+// chunkSpan returns the vertices [lo, hi) of cell chunk u.
+func (g *Graph) chunkSpan(u int) (lo, hi int32) {
+	return int32(u) << g.cellShift, min(int32(u+1)<<g.cellShift, g.n)
 }
 
 // Join evaluates CIJ(P, Q) in memory and returns a result equivalent (as

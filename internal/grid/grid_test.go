@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cij/internal/core"
 	"cij/internal/dataset"
@@ -231,36 +233,42 @@ func TestGraphSharedAcrossJoins(t *testing.T) {
 }
 
 // TestGraphFootprint sums the capacities of every slice a 10k-uniform
-// graph holds, in two parts. The cell table (arena, offsets and MBRs,
-// which the flood reads) may take at most 144 B per point: about six
+// graph holds, in three parts. The cell table (chunk arenas, offsets and
+// MBRs, which the flood reads) may take at most 144 B per point: about six
 // vertices of 16 B per cell, 4 B of offset and a 32-byte MBR, so an arena
-// reserving eight vertices per cell fails it. Every other field may take
-// at most 64 B per point, so a graph cannot keep its triangles and
-// half-edges (48 B per point) or the build stack by accident.
+// reserving eight vertices per cell fails it. The kept triangulation (the
+// half-edges Derive edits, two int32 per half-edge and six half-edges per
+// point) may take at most 52 B per point, so it cannot keep the build's
+// spare capacity. Every other field may take at most 64 B per point, so
+// a graph cannot keep the build stack or a second copy of anything by
+// accident.
 func TestGraphFootprint(t *testing.T) {
 	const n = 10000
-	table := map[string]bool{"cells": true, "cellStart": true, "bounds": true}
-	v := reflect.ValueOf(NewGraph(dataset.Uniform(n, 1), nil, dataset.Domain)).Elem()
-	var graph, cells int
+	part := map[string]string{
+		"cells": "cell table", "cellStart": "cell table", "bounds": "cell table",
+		"tri": "triangulation", "twin": "triangulation",
+	}
+	g := NewGraph(dataset.Uniform(n, 1), nil, dataset.Domain)
+	v := reflect.ValueOf(g).Elem()
+	bytes := map[string]int{}
 	for i := range v.NumField() {
 		if f := v.Field(i); f.Kind() == reflect.Slice {
-			bytes := f.Cap() * int(f.Type().Elem().Size())
-			if table[v.Type().Field(i).Name] {
-				cells += bytes
-			} else {
-				graph += bytes
-			}
+			name := cmp.Or(part[v.Type().Field(i).Name], "graph")
+			bytes[name] += f.Cap() * int(f.Type().Elem().Size())
 		}
 	}
-	for _, part := range []struct {
-		name       string
-		bytes, max int
-	}{{"graph", graph, 64}, {"cell table", cells, 144}} {
-		per := float64(part.bytes) / n
-		if per > float64(part.max) {
-			t.Fatalf("%s holds %.1f B per point, want at most %d", part.name, per, part.max)
+	for _, c := range g.cells {
+		bytes["cell table"] += cap(c.pts) * int(unsafe.Sizeof(geom.Point{}))
+	}
+	for _, p := range []struct {
+		name string
+		max  int
+	}{{"graph", 64}, {"cell table", 144}, {"triangulation", 52}} {
+		per := float64(bytes[p.name]) / n
+		if per > float64(p.max) {
+			t.Fatalf("%s holds %.1f B per point, want at most %d", p.name, per, p.max)
 		}
-		t.Logf("%s holds %.1f B per point", part.name, per)
+		t.Logf("%s holds %.1f B per point", p.name, per)
 	}
 }
 

@@ -41,7 +41,7 @@ func flood(tp, tq *Graph, opts Options, res *core.Result, workers, size int) uni
 	found := make([][]vertexPair, k) // the joined vertices of each buffered unit
 	wait := runUnits(workers, k, func(w, u int, direct bool) {
 		if fw[w] == nil {
-			fw[w] = &flooder{tp: tp, tq: tq, stamp: make([]int32, tq.n), ringed: make([]int32, tq.n)}
+			fw[w] = newFlooder(tp, tq)
 		}
 		lo, hi := unitSpan(u, k, tp.n)
 		switch {
@@ -77,72 +77,101 @@ type vertexPair struct{ p, q int32 }
 // Q's vertices; no other worker reads or writes any of it.
 type flooder struct {
 	tp, tq *Graph
-	// stamp and ringed hold the P vertex + 1 that last queued a Q vertex
-	// and passed its ring; P vertices are distinct across units, so they
-	// are never reset.
+	// stamp and ringed hold the key of the flood that last queued a Q
+	// vertex and passed its ring (nil when Q has no near-twins). A join
+	// keys each flood by its P vertex + 1, and P vertices are distinct
+	// across units, so they are never reset.
 	stamp, ringed                []int32
-	queue                        []int32
+	queue, joined                []int32
 	cj                           geom.Clipper
 	near                         int32 // where the next nearest-site walk starts
 	pCells, candidates, trueHits int64
 	_                            [64]byte // keeps the counters off the next worker's cache line
 }
 
-func (f *flooder) push(w, v int32) {
-	if f.stamp[w] != v+1 {
-		f.stamp[w] = v + 1
+func newFlooder(tp, tq *Graph) *flooder {
+	f := &flooder{tp: tp, tq: tq, stamp: make([]int32, tq.n)}
+	if tq.twins {
+		f.ringed = make([]int32, tq.n)
+	}
+	return f
+}
+
+func (f *flooder) push(w, key int32) {
+	if f.stamp[w] != key {
+		f.stamp[w] = key
 		f.queue = append(f.queue, w)
 	}
 }
 
-// flood joins P vertices [lo, hi) and calls hit, when non-nil, for every
-// joined pair of vertices. For each P vertex in Hilbert order it reads
-// cell(p) from P's table, walks greedily on Q's graph from the previous P
-// vertex's nearest Q vertex to the one nearest a point of cell(p), and
-// floods breadth-first from there: a Q cell whose stored MBR misses
-// cell(p)'s is skipped, any other is tested and its neighbours and
-// near-twins queued whether or not it joined (the package comment says
-// why this reaches every overlapping cell).
+// flood joins P vertices [lo, hi) in Hilbert order and calls hit, when
+// non-nil, for every joined pair of vertices: each P cell is read from
+// P's table and flooded over Q's graph.
 func (f *flooder) flood(lo, hi int32, hit func(v, u int32)) {
-	tp, tq := f.tp, f.tq
+	tp := f.tp
 	for v := lo; v < hi; v++ {
 		pc := tp.storedCell(v)
 		f.pCells++
 		if pc.IsEmpty() {
 			continue
 		}
-		pb := tp.bounds[v]
-		// The site is in its own cell unless it lies outside the domain;
-		// then any vertex of the clipped cell serves as the target.
-		target := tp.verts[v]
-		if !tp.domain.Contains(target) {
-			target = pc.V[0]
-		}
-		f.near = tq.nearest(f.near, target)
-
-		f.queue = f.queue[:0]
-		f.push(f.near, v)
-		for h := 0; h < len(f.queue); h++ {
-			u := f.queue[h]
-			if !pb.Intersects(tq.bounds[u]) {
-				continue
-			}
-			f.candidates++
-			if core.CellsJoinWith(&f.cj, pc, tq.storedCell(u)) {
-				f.trueHits++
-				if hit != nil {
-					hit(v, u)
-				}
-			}
-			for _, w := range tq.neighbors(u) {
-				f.push(w, v)
-			}
-			for w := tq.ring[u]; w != u && f.ringed[u] != v+1; w = tq.ring[w] {
-				f.ringed[w] = v + 1 // the first of a cluster to pass queues the rest
-				f.push(w, v)
+		for _, u := range f.cell(pc, tp.bounds[v], tp.siteTarget(v, pc), v+1, false) {
+			if hit != nil {
+				hit(v, u)
 			}
 		}
 	}
+}
+
+// siteTarget returns where the nearest-site walk for real vertex v's
+// non-empty cell c heads: the site, which lies in its own cell unless it
+// is outside the domain, and then any vertex of the clipped cell.
+func (g *Graph) siteTarget(v int32, c geom.Polygon) geom.Point {
+	if g.domain.Contains(g.verts[v]) {
+		return g.verts[v]
+	}
+	return c.V[0]
+}
+
+// cell returns the Q vertices whose cells join the non-empty cell c (MBR
+// b), in the order the flood finds them, in a slice the next call reuses.
+// It walks greedily on Q's graph from the previous walk's end to the Q
+// vertex nearest target, a point of c, and floods breadth-first from
+// there: a Q cell whose stored MBR misses b is skipped, any other is
+// tested and its neighbours and near-twins queued whether or not it joined
+// (the package comment says why this reaches every overlapping cell). key
+// must differ from every earlier call's. The predicate takes c as the P
+// cell, or as the Q cell when cIsQ is set, so a cell of either operand
+// gets the verdict a join of the two graphs gives it.
+func (f *flooder) cell(c geom.Polygon, b geom.Rect, target geom.Point, key int32, cIsQ bool) []int32 {
+	tq := f.tq
+	f.near = tq.nearest(f.near, target)
+	f.joined = f.joined[:0]
+	f.queue = f.queue[:0]
+	f.push(f.near, key)
+	for h := 0; h < len(f.queue); h++ {
+		u := f.queue[h]
+		if !b.Intersects(tq.bounds[u]) {
+			continue
+		}
+		f.candidates++
+		p, q := c, tq.storedCell(u)
+		if cIsQ {
+			p, q = q, p
+		}
+		if core.CellsJoinWith(&f.cj, p, q) {
+			f.trueHits++
+			f.joined = append(f.joined, u)
+		}
+		for _, w := range tq.neighbors(u) {
+			f.push(w, key)
+		}
+		for w := tq.ring[u]; w != u && f.ringed[u] != key; w = tq.ring[w] {
+			f.ringed[w] = key // the first of a cluster to pass queues the rest
+			f.push(w, key)
+		}
+	}
+	return f.joined
 }
 
 // emit reports the joined cells of P vertex v and Q vertex u as one pair

@@ -266,14 +266,15 @@ type DeltaSummaryJSON struct {
 	Added   int    `json:"added"`
 	Removed int    `json:"removed"`
 	// AffectedSites counts mutated-side sites whose join partners were
-	// re-derived; Probes counts opposite-side candidate cells tested
-	// against them — the work that replaced a full |P|·|Q| recompute.
+	// re-derived; Probes counts the join predicate's tests of opposite-side
+	// cells against them — the work that replaced a full |P|·|Q|
+	// recompute.
 	AffectedSites int `json:"affected_sites"`
 	Probes        int `json:"probes"`
-	// Cells counts the exact Voronoi cells the delta engine computed, on
-	// the mutated dataset's old and new versions and the opposite one.
-	// The engine computes each cell at most once per mutation, so Cells
-	// is typically well below Probes.
+	// Cells counts the Voronoi cells computed for this batch: those the
+	// new version's graph clipped when the mutation derived it (every one
+	// when it was built instead), plus every cell of any graph this run
+	// had to build.
 	Cells int           `json:"cells"`
 	Stats JoinStatsJSON `json:"stats"`
 }
@@ -350,24 +351,20 @@ type DatasetInfo struct {
 	// (mutable datasets never renumber); 0 for never-deleted datasets.
 	Tombstones int `json:"tombstones,omitempty"`
 	Pages      int `json:"pages"`
-	// Storage lists the node representations this dataset can serve
-	// (every ingest builds both the paged tree and its flat copy).
+	// Storage lists the node representations this dataset can serve:
+	// the paged tree, and the flat copy its first flat read freezes.
 	Storage []string `json:"storage"`
 }
 
 // datasetInfo converts a registry entry to its wire form.
 func datasetInfo(d *Dataset) DatasetInfo {
-	storage := []string{"paged"}
-	if d.FlatTree != nil {
-		storage = append(storage, "flat")
-	}
 	return DatasetInfo{
 		Name:       d.Name,
 		Version:    d.Version,
 		Points:     d.Live,
 		Tombstones: len(d.Points) - d.Live,
 		Pages:      d.Pages,
-		Storage:    storage,
+		Storage:    []string{"paged", "flat"},
 	}
 }
 

@@ -89,7 +89,7 @@ func TestJournalSlowestRetention(t *testing.T) {
 	cached.Cached = true
 	j.Add(cached, nil, 0) // cache hit: no spans, no retention
 	delta := mkRec(5, "d", "delta", 99)
-	j.Add(delta, nil, 0) // delta run: no spans, nothing to retain
+	j.Add(delta, nil, 0) // no spans, nothing to retain
 
 	if got := j.RetainedTraces(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("RetainedTraces = %v, want [2 3] (slowest first)", got)

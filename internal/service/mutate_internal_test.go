@@ -11,6 +11,7 @@ import (
 
 	"cij/internal/core"
 	"cij/internal/dataset"
+	"cij/internal/geom"
 	"cij/internal/grid"
 	"cij/internal/obs"
 	"cij/internal/storage"
@@ -125,7 +126,7 @@ func grepMetric(body, name string) string {
 // is told so, and all get its graph; a build that panics panics again for
 // every later caller, which never sees a half-built graph.
 func TestLazyGraphOnce(t *testing.T) {
-	var l lazyGraph
+	var l lazy[*grid.Graph]
 	var builds, toldBuilt atomic.Int32
 	graphs := make([]*grid.Graph, 8)
 	var wg sync.WaitGroup
@@ -153,7 +154,7 @@ func TestLazyGraphOnce(t *testing.T) {
 		}
 	}
 
-	var failed lazyGraph
+	var failed lazy[*grid.Graph]
 	for i := range 2 {
 		func() {
 			defer func() {
@@ -168,5 +169,54 @@ func TestLazyGraphOnce(t *testing.T) {
 				panic("half-built")
 			})
 		}()
+	}
+}
+
+// TestFlatCopyLazy: neither an ingest nor a mutation freezes a flat copy;
+// the first flat reads do, once per version, through a private buffer,
+// so the shared base buffer, cold since the build, stays cold; and
+// the flat copy answers the join the paged tree does.
+func TestFlatCopyLazy(t *testing.T) {
+	reg := NewRegistry(2)
+	v1, err := reg.Put("a", dataset.Uniform(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v2, _, err := reg.Mutate("a", MutationSpec{Insert: []geom.Point{geom.Pt(5, 5)}, Delete: []int64{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := reg.Put("b", dataset.Uniform(1500, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dataset{v1, v2} {
+		if _, ok := d.flat.peek(); ok {
+			t.Fatalf("version %d froze its flat copy before any flat read", d.Version)
+		}
+		base := d.Tree.Buffer()
+		stats, gen := base.Stats(), base.Generation()
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.StorageView("flat")
+			}()
+		}
+		wg.Wait()
+		if base.Stats() != stats || base.Generation() != gen {
+			t.Fatalf("version %d: freezing the flat copy touched the shared base buffer", d.Version)
+		}
+		for id := range d.Pages {
+			if base.Contains(storage.PageID(id)) {
+				t.Fatalf("version %d: freezing the flat copy left page %d in the shared base buffer", d.Version, id)
+			}
+		}
+		want := core.NMCIJ(d.View(), other.View(), dataset.Domain, core.DefaultOptions()).Pairs
+		got := core.NMCIJ(d.FlatView(), other.FlatView(), dataset.Domain, core.DefaultOptions()).Pairs
+		if !core.SamePairs(got, want) {
+			t.Fatalf("version %d: the flat copy joins %d pairs, the paged tree %d", d.Version, len(got), len(want))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"cij/internal/core"
 	"cij/internal/dataset"
 	"cij/internal/geom"
+	"cij/internal/obs"
 	"cij/internal/service"
 )
 
@@ -135,10 +137,10 @@ func TestMutateAlgosAgreeAfterMutation(t *testing.T) {
 		if jr.LeftVersion != 2 {
 			t.Fatalf("%s: left version %d, want 2", algo, jr.LeftVersion)
 		}
-		// Version 2 builds its own graph over its 249 live points; q's
-		// version 1 graph is reused.
-		if got := triangulated(t, jr); algo == "grid" && (got["p"] != 249 || got["q"] != 0) {
-			t.Fatalf("version 2 grid join triangulated %v, want p's 249 live points and nothing of q", got)
+		// Version 2's graph was derived from version 1's by the mutation,
+		// and q's version 1 graph is reused: nothing is triangulated.
+		if got := triangulated(t, jr); algo == "grid" && (got["p"] != 0 || got["q"] != 0) {
+			t.Fatalf("version 2 grid join triangulated %v, want nothing: p's graph derived, q's reused", got)
 		}
 	}
 	// Streamed pairs carry the same original IDs (the OnPair hook path).
@@ -163,6 +165,33 @@ func TestMutateAlgosAgreeAfterMutation(t *testing.T) {
 	if stats := svc.StatsSnapshot(); stats.Mutations != 1 {
 		t.Fatalf("stats mutations = %d, want 1", stats.Mutations)
 	}
+}
+
+// TestMutateWideStarBuildsLazily: deleting the hub of an 80-point wheel
+// leaves a star wider than grid.Derive edits, so the mutation leaves
+// version 2 without a graph and its first grid join builds one, with the
+// same pairs as brute force.
+func TestMutateWideStarBuildsLazily(t *testing.T) {
+	p := []geom.Point{geom.Pt(5000, 5000)}
+	for k := range 80 {
+		a := 2 * math.Pi * float64(k) / 80
+		p = append(p, geom.Pt(5000+100*math.Cos(a), 5000+100*math.Sin(a)))
+	}
+	q := dataset.Uniform(100, 103)
+	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid"})
+
+	m := newMirror(p)
+	req := service.MutationRequest{Delete: []int64{0}}
+	if _, code := mutate(t, ts, "p", req); code != http.StatusOK {
+		t.Fatalf("mutation status %d", code)
+	}
+	m.apply(req)
+	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid", Trace: true})
+	if got := triangulated(t, jr); got["p"] != 80 || got["q"] != 0 {
+		t.Fatalf("version 2 grid join triangulated %v, want p's 80 points (no derivation) and q's graph reused", got)
+	}
+	sameSet(t, "version 2 grid", pairSet(jr.Pairs), m.brute(q))
 }
 
 // TestMutateSnapshotIsolationRace runs joins concurrently with a
@@ -394,6 +423,65 @@ func TestSubscribeChurn(t *testing.T) {
 	}
 }
 
+// TestDeltaTrace: a delta run is journaled as a run on Delaunay graphs,
+// with no storage and no page I/O, and with a trace: one "graph" span per
+// role whose Items is the points the run triangulated, and one "churn"
+// span whose Candidates are the summary's probes. The first mutation
+// builds all three graphs; the next one of the same dataset finds its new
+// version's graph derived and the other two built, and triangulates
+// nothing.
+func TestDeltaTrace(t *testing.T) {
+	p, q := dataset.Uniform(300, 141), dataset.Uniform(200, 142)
+	svc, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	resp, err := http.Get(ts.URL + "/join/subscribe?left=p&right=q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("no subscribed line")
+	}
+	for round, want := range []map[string]int64{{"old": 300, "new": 300, "other": 200}, {"old": 0, "new": 0, "other": 0}} {
+		req := service.MutationRequest{
+			Insert: []service.PointJSON{{X: 1000 + 3000*float64(round), Y: 2500}},
+			Update: []service.MovePointJSON{{ID: int64(10 + round), X: 7000, Y: 7000 - 1000*float64(round)}},
+			Delete: []int64{int64(round)},
+		}
+		mr, code := mutate(t, ts, "p", req)
+		if code != http.StatusOK || len(mr.Deltas) != 1 {
+			t.Fatalf("round %d: mutation status %d with %d deltas", round, code, len(mr.Deltas))
+		}
+		d := mr.Deltas[0]
+		rec, ok := svc.Journal().Get(d.QueryID)
+		if !ok || rec.Algo != "delta" || rec.Storage != "" || rec.Stats.PageAccesses != 0 {
+			t.Fatalf("round %d: journal record %+v (found %v), want a delta run with no storage and no pages", round, rec, ok)
+		}
+		spans, _, ok := svc.Journal().TraceFor(d.QueryID)
+		if !ok {
+			t.Fatalf("round %d: the delta run kept no trace", round)
+		}
+		got := map[string]int64{}
+		var churn *obs.Span
+		for i, sp := range spans {
+			switch sp.Phase {
+			case "graph":
+				got[sp.Tag] = sp.Items
+			case "churn":
+				churn = &spans[i]
+			}
+		}
+		if len(got) != 3 || got["old"] != want["old"] || got["new"] != want["new"] || got["other"] != want["other"] {
+			t.Fatalf("round %d: graph spans triangulated %v, want %v", round, got, want)
+		}
+		if churn == nil || churn.Candidates != int64(d.Probes) || churn.TrueHits < 1 {
+			t.Fatalf("round %d: churn span %+v, want %d candidates and some hits", round, churn, d.Probes)
+		}
+		if round == 1 && (d.Cells < 1 || d.Cells >= 300) {
+			t.Fatalf("round %d: %d cells computed, want the derived graph's few", round, d.Cells)
+		}
+	}
+}
+
 // mutationValidationCases are TestMutateValidation's malformed batches;
 // FuzzMutationRequest seeds from the same bodies.
 var mutationValidationCases = []struct {
@@ -541,8 +629,9 @@ func FuzzMutationRequest(f *testing.F) {
 }
 
 // TestOldVersionsCollected: a mutated version shares its parent's pages
-// copy-on-write but holds no reference to the parent, so once the
-// registry moves on, version 1's disk is garbage. The registry itself
+// copy-on-write but holds no reference to the parent, and its graph,
+// derived from the parent's, shares no array with it; so once the
+// registry moves on, version 1's disk and graph are garbage. The registry itself
 // stays reachable throughout; collecting it would free version 1 whatever
 // the versions hold.
 func TestOldVersionsCollected(t *testing.T) {
@@ -552,7 +641,11 @@ func TestOldVersionsCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := weak.Make(v1.Tree.Buffer().Disk())
-	v1 = nil
+	// With version 1's graph built, each mutation derives its successor's
+	// from the previous one, which must share nothing with it.
+	g1, _ := v1.Graph()
+	graph := weak.Make(g1)
+	v1, g1 = nil, nil
 	for i := range 3 {
 		spec := service.MutationSpec{Insert: []geom.Point{geom.Pt(100+float64(i), 200)}, Delete: []int64{int64(i)}}
 		if _, _, _, err := reg.Mutate("a", spec); err != nil {
@@ -563,6 +656,13 @@ func TestOldVersionsCollected(t *testing.T) {
 	runtime.GC()
 	if disk.Value() != nil {
 		t.Fatal("version 1's disk is still reachable after three mutations")
+	}
+	if graph.Value() != nil {
+		t.Fatal("version 1's graph is still reachable after three derived successors")
+	}
+	cur, _ := reg.Get("a")
+	if _, triangulated := cur.Graph(); triangulated != 0 {
+		t.Fatalf("version 4 triangulated %d points on its first use, want its derived graph", triangulated)
 	}
 	if cur, ok := reg.Get("a"); !ok || cur.Version != 4 {
 		t.Fatalf("registry lost dataset a (%v)", ok)

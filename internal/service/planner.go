@@ -105,9 +105,10 @@ func plan(q Query, left, right *Dataset) (Explanation, error) {
 		pl.Storage = "paged"
 		reason += "; paged storage requested explicitly (the paper's LRU-buffered disk format)"
 	default:
-		// Every registered dataset lives in memory and carries a frozen
-		// flat tree, so auto picks the decode-free representation;
-		// "paged" remains the knob for measuring the paper's I/O behavior.
+		// Every registered dataset lives in memory and serves a flat tree
+		// (frozen on its first flat read), so auto picks the decode-free
+		// representation; "paged" remains the knob for measuring the
+		// paper's I/O behavior.
 		pl.Storage = "flat"
 		reason += "; storage auto-selects flat (datasets are in-memory, so joins read arena nodes decode-free)"
 	}

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cij/internal/dataset"
 	"cij/internal/delta"
@@ -26,12 +27,12 @@ var nameRe = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
 // Dataset is one registered pointset: the points, the R-tree built over
 // them at ingest time, the private disk+buffer the tree lives on, and the
-// Delaunay graph its first grid join builds. A Dataset is immutable after
-// construction, apart from that one-time build — replacing a name
-// installs a new Dataset value (re-ingest) or a copy-on-write successor
-// (Mutate) — so any number of queries may hold and read one concurrently
-// through forked buffer views, even while the next version is being
-// built.
+// flat copy and Delaunay graph its first reads build. A Dataset is
+// immutable after construction, apart from those one-time builds —
+// replacing a name installs a new Dataset value (re-ingest) or a
+// copy-on-write successor (Mutate) — so any number of queries may hold and
+// read one concurrently through forked buffer views, even while the next
+// version is being built.
 type Dataset struct {
 	Name    string
 	Version int
@@ -47,18 +48,18 @@ type Dataset struct {
 	// nil). Planner cardinality gates and wire point counts read it.
 	Live int
 	Tree *rtree.Tree
-	// FlatTree is the arena-resident (flat) copy of Tree, frozen once at
-	// ingest: structurally identical, decode-free to read, zero page I/O.
-	// Plans with Storage "flat" read it through FlatView.
-	FlatTree *rtree.Tree
 	// Pages is the tree's page count on its private disk.
 	Pages int
 	// BufferPages is the LRU capacity each query view forks with.
 	BufferPages int
+	// flat is the arena-resident (flat) copy of Tree: structurally
+	// identical, decode-free to read, zero page I/O. The first FlatView
+	// freezes it; plans with Storage "flat" read it.
+	flat lazy[*rtree.Tree]
 	// graph is the version's Delaunay graph with its Voronoi cells, built
-	// on first use (Graph); every Dataset value starts without one, so no
-	// version inherits another's.
-	graph lazyGraph
+	// on first use (Graph) unless PrepareMutation derived it from the
+	// parent's; no version shares another's.
+	graph lazy[*grid.Graph]
 }
 
 // View returns a read-only handle on the dataset's tree whose I/O goes
@@ -74,8 +75,14 @@ func (d *Dataset) View() *rtree.Tree {
 // arena whose accesses are counted on a fresh private ledger fork, so
 // per-request I/O attribution works identically in both storage modes.
 // (The ledger caches nothing, so capacity 0 is exact, not a limitation.)
+// The first call freezes the copy, reading the pages through a private
+// buffer of its own, so the shared base buffer stays untouched; callers
+// meanwhile wait for it.
 func (d *Dataset) FlatView() *rtree.Tree {
-	return d.FlatTree.WithBuffer(d.FlatTree.Buffer().Fork(0))
+	flat, _ := d.flat.get(func() *rtree.Tree {
+		return d.Tree.WithBuffer(d.Tree.Buffer().Fork(0)).Freeze()
+	})
+	return flat.WithBuffer(flat.Buffer().Fork(0))
 }
 
 // StorageView dispatches on a plan's storage choice: "flat" reads the
@@ -109,8 +116,9 @@ func (d *Dataset) JoinPoints() (pts []geom.Point, ids []int64) {
 // Graph returns the Delaunay graph of the version's live points, which
 // reports pairs under their IDs, and how many points this call
 // triangulated. The first caller builds it (triangulated == Live);
-// concurrent callers wait for that build and later ones reuse it (0). A
-// build that panics panics again for every caller.
+// concurrent callers wait for that build and later ones reuse it (0), as
+// every caller does of a graph PrepareMutation derived. A build that
+// panics panics again for every caller.
 func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
 	g, built := d.graph.get(func() *grid.Graph {
 		pts, ids := d.JoinPoints()
@@ -122,30 +130,49 @@ func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
 	return g, triangulated
 }
 
-// lazyGraph builds a graph at most once, with sync.OnceValue's semantics
-// (one build, concurrent callers wait for it, a panic repeats for every
+// lazy builds a value at most once, with sync.OnceValue's semantics (one
+// build, concurrent callers wait for it, a panic repeats for every
 // caller), and tells the caller that ran the build.
-type lazyGraph struct {
+type lazy[T any] struct {
 	once  sync.Once
-	graph *grid.Graph
-	fault any // the failed build's panic value
+	val   T
+	ready atomic.Bool // val holds a finished build
+	fault any         // the failed build's panic value
 }
 
-func (l *lazyGraph) get(build func() *grid.Graph) (g *grid.Graph, built bool) {
+func (l *lazy[T]) get(build func() T) (v T, built bool) {
 	l.once.Do(func() {
 		built = true
 		defer func() {
-			if l.graph == nil {
+			if !l.ready.Load() {
 				l.fault = recover()
 				panic(l.fault)
 			}
 		}()
-		l.graph = build()
+		l.val = build()
+		l.ready.Store(true)
 	})
-	if l.graph == nil {
+	if !l.ready.Load() {
 		panic(l.fault)
 	}
-	return l.graph, built
+	return l.val, built
+}
+
+// set fills l with v before any reader can see it, as if v were built.
+func (l *lazy[T]) set(v T) {
+	l.once.Do(func() {
+		l.val = v
+		l.ready.Store(true)
+	})
+}
+
+// peek returns the value if a build has finished, without waiting for or
+// starting one.
+func (l *lazy[T]) peek() (v T, ok bool) {
+	if l.ready.Load() {
+		return l.val, true
+	}
+	return v, false
 }
 
 // alive reports whether id names a live point.
@@ -308,9 +335,9 @@ func (m MutationSpec) size() int { return len(m.Insert) + len(m.Update) + len(m.
 
 // Mutate applies spec to the named dataset and installs the result as
 // its next version. The heavy work — cloning the disk copy-on-write,
-// replaying the batch through dynamic insert/delete, re-freezing the
-// flat copy — happens outside the registry lock, against a snapshot no
-// reader shares; only the final install is serialized, and it fails with
+// replaying the batch through dynamic insert/delete, deriving the Delaunay
+// graph — happens outside the registry lock, against a snapshot no reader
+// shares; only the final install is serialized, and it fails with
 // ErrMutationConflict if another writer replaced the dataset meanwhile
 // (the server layer serializes mutations, so that arm guards re-ingest
 // races, not mutate/mutate ones).
@@ -352,7 +379,11 @@ func (p *PreparedMutation) Spec() MutationSpec { return p.spec }
 
 // PrepareMutation validates spec against the current version of name and
 // builds the next version beside it — everything Mutate does short of
-// installing.
+// installing. When the current version's Delaunay graph is built, the
+// next version's is derived from it by local edits (grid.Derive), which
+// reads the parent's and writes only its own; otherwise, or when Derive
+// declines (a removed point's star too wide), the next version builds its
+// own on first use, as an ingested one does.
 func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMutation, error) {
 	d, ok := r.Get(name)
 	if !ok {
@@ -444,6 +475,12 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 		Live:   d.Live + len(spec.Insert) - len(spec.Delete),
 		Tree:   mt,
 	}, r.bufferPct)
+	if g, ok := d.graph.peek(); ok {
+		pts, ids := cur.JoinPoints()
+		if derived := grid.Derive(g, pts, ids); derived != nil {
+			cur.graph.set(derived)
+		}
+	}
 	return &PreparedMutation{name: name, old: d, cur: cur, spec: spec, changes: changes}, nil
 }
 
@@ -471,12 +508,12 @@ func (r *Registry) Install(p *PreparedMutation) (old, cur *Dataset, changes []de
 const buildBufferPages = 1 << 30
 
 // newDataset completes a Dataset around its freshly built tree: it
-// cold-starts the tree's buffer at serving size and freezes the flat
-// copy. Ingest, mutation and restore all finish their datasets here.
+// cold-starts the tree's buffer at serving size. Ingest, mutation and
+// restore all finish their datasets here; the flat copy and the graph
+// wait for their first reads.
 func newDataset(d *Dataset, bufferPct float64) *Dataset {
 	d.Pages = d.Tree.NumPages()
 	d.BufferPages = coldBuffer(d.Tree.Buffer(), d.Pages, bufferPct)
-	d.FlatTree = d.Tree.Freeze()
 	return d
 }
 

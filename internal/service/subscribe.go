@@ -8,8 +8,11 @@ import (
 	"sync"
 	"time"
 
-	"cij/internal/dataset"
 	"cij/internal/delta"
+	"cij/internal/geom"
+	"cij/internal/grid"
+	"cij/internal/obs"
+	"cij/internal/storage"
 )
 
 // subChanCap bounds the per-subscriber event queue (in chunks, one chunk
@@ -232,12 +235,16 @@ func (s *Service) propagateMutation(old, cur *Dataset, changes []delta.Change) [
 	return out
 }
 
-// computeDelta maintains one subscribed join across a mutation: it runs
-// the delta engine (a localized computation bounded by the paper's
-// Lemma 1/2 influence argument, not a recompute), publishes the churn to
-// the pair's subscribers, and books the run on every observability
-// surface a full join would hit — query ID, journal record (algo
-// "delta"), latency histogram, I/O counters, structured log.
+// computeDelta maintains one subscribed join across a mutation: it churns
+// on the Delaunay graphs of the mutated dataset's old and new versions and
+// of the opposite one (grid.Churn, a computation local to the changes'
+// Delaunay neighbourhoods, the paper's Lemma 1/2 influence bound made
+// exact, not a recompute), publishes the churn to the pair's subscribers,
+// and books the run on every observability surface a full join would hit
+// — query ID, journal record (algo "delta") with its trace, latency
+// histogram, structured log. The new version's graph is normally derived
+// already (PrepareMutation); a graph no earlier request built is built
+// here, and its "graph" span says so.
 func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, changes []delta.Change) *DeltaSummaryJSON {
 	mutatedLeft := leftName == cur.Name
 	otherName := rightName
@@ -251,10 +258,33 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 
 	qid := s.queryID.Add(1)
 	start := time.Now()
-	oldT, newT, otherT := old.View(), cur.View(), other.View()
-	res := delta.PairChurn(oldT, newT, otherT, changes, mutatedLeft, dataset.Domain)
+	tr := obs.NewTrace()
+	var graphs [3]*grid.Graph
+	cells := 0 // the cells computed for this batch: the new version's, and any graph built here
+	for i, role := range []struct {
+		tag string
+		d   *Dataset
+	}{{"old", old}, {"new", cur}, {"other", other}} {
+		t := time.Now()
+		g, triangulated := role.d.Graph()
+		tr.Add("graph", role.tag, time.Since(t), obs.Counters{Items: int64(triangulated)})
+		if graphs[i] = g; i == 1 || triangulated > 0 {
+			cells += g.Clipped()
+		}
+	}
+	var departed, arrived []geom.Point
+	for _, c := range changes {
+		if c.Op != delta.OpInsert {
+			departed = append(departed, c.Old)
+		}
+		if c.Op != delta.OpDelete {
+			arrived = append(arrived, c.New)
+		}
+	}
+	t := time.Now()
+	res := grid.Churn(graphs[0], graphs[1], graphs[2], departed, arrived, mutatedLeft)
+	tr.Add("churn", "", time.Since(t), obs.Counters{Candidates: res.Candidates, TrueHits: res.TrueHits})
 	wall := time.Since(start)
-	io := oldT.Buffer().Stats().Add(newT.Buffer().Stats()).Add(otherT.Buffer().Stats())
 	churn := len(res.Added) + len(res.Removed)
 
 	s.metrics.deltaRuns.Inc()
@@ -265,7 +295,6 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 	if n := len(res.Removed); n > 0 {
 		s.metrics.churnEvents.With("remove").Add(int64(n))
 	}
-	s.metrics.recordJoinIO(io, "paged")
 
 	lv, rv := cur.Version, other.Version
 	ld, rd := cur, other
@@ -283,9 +312,9 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		Added:         len(res.Added),
 		Removed:       len(res.Removed),
 		AffectedSites: res.Affected,
-		Probes:        res.Probes,
-		Cells:         res.Cells,
-		Stats:         statsFromIO(io, wall),
+		Probes:        int(res.Candidates),
+		Cells:         cells,
+		Stats:         statsFromIO(storage.Stats{}, wall),
 	}
 
 	s.journal.Add(JournalRecord{
@@ -296,24 +325,22 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		Right:        rightName,
 		RightVersion: rv,
 		Algo:         "delta",
-		Storage:      "paged",
 		Pairs:        int64(churn),
 		Stats:        sum.Stats,
-		Reason: fmt.Sprintf("incremental maintenance after mutation of %q: %d changes touched %d sites, churning +%d/-%d pairs",
+		Reason: fmt.Sprintf("incremental maintenance after mutation of %q on the versions' Delaunay graphs: %d changes touched %d sites, churning +%d/-%d pairs",
 			cur.Name, len(changes), res.Affected, len(res.Added), len(res.Removed)),
 		Inputs: PlanInputs{
 			LeftPoints:  ld.Live,
 			RightPoints: rd.Live,
 			TotalPoints: ld.Live + rd.Live,
 		},
-	}, nil, 0)
+	}, tr.Spans(), tr.Dropped())
 	s.logger.Info("delta computed",
 		"query_id", qid,
 		"left", leftName, "right", rightName,
 		"mutated", sum.Mutated,
 		"added", len(res.Added), "removed", len(res.Removed),
-		"affected_sites", res.Affected, "probes", res.Probes, "cells", res.Cells,
-		"pages", io.PageAccesses(),
+		"affected_sites", res.Affected, "probes", res.Candidates, "cells", cells,
 		"wall_ms", float64(wall)/float64(time.Millisecond),
 	)
 
