@@ -33,7 +33,8 @@ race:
 # (never a 5xx, so never a panic); over the grid backend's filtered
 # orient/incircle predicates against exact math/big evaluation; and over
 # graphs derived by local edits on a degenerate lattice against fresh
-# builds of the same points. Every
+# builds of the same points, and their churn against the diff of whole
+# joins. Every
 # `go test` run replays each target's seed corpus; this searches past it.
 # Minimizing a new input may take 10 executions at most: the default
 # (60s) spends a whole window shrinking the first 3 KB snapshot, and a

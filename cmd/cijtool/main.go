@@ -24,7 +24,6 @@ import (
 
 	"cij/internal/core"
 	"cij/internal/dataset"
-	"cij/internal/delta"
 	"cij/internal/exp"
 	"cij/internal/geom"
 	"cij/internal/grid"
@@ -269,7 +268,7 @@ func runJoin(args []string) error {
 }
 
 // runDelta applies one mutation batch to pointset P and reports the join
-// churn the delta engine computes — which (p, q) pairs appear and
+// churn the server's delta run computes — which (p, q) pairs appear and
 // disappear — without recomputing the join. -verify re-runs two full NM
 // joins and asserts the incremental answer matches their diff exactly.
 func runDelta(args []string) error {
@@ -308,35 +307,39 @@ func runDelta(args []string) error {
 	}
 
 	// The registry owns the mutation semantics (tombstoned IDs, COW
-	// snapshot of the old version), so the CLI reports exactly what the
-	// server would.
+	// snapshot of the old version). Both graphs are built first, as a
+	// served dataset's are after its first join, so the mutation derives
+	// the new version's graph, and the churn runs on the registry's graphs
+	// as the server's delta run does.
 	reg := service.NewRegistry(*buffer)
-	if _, err := reg.Put("p", p); err != nil {
+	pd, err := reg.Put("p", p)
+	if err != nil {
 		return err
 	}
 	qd, err := reg.Put("q", q)
 	if err != nil {
 		return err
 	}
+	pd.Graph()
+	otherG, _ := qd.Graph()
 	start := time.Now()
 	old, cur, changes, err := reg.Mutate("p", spec)
 	if err != nil {
 		return fmt.Errorf("delta: %w", err)
 	}
-	oldT, newT, otherT := old.View(), cur.View(), qd.View()
-	res := delta.PairChurn(oldT, newT, otherT, changes, true, dataset.Domain)
+	oldG, _ := old.Graph()
+	curG, _ := cur.Graph()
+	res := grid.Churn(oldG, curG, otherG, true)
 	elapsed := time.Since(start)
-	io := oldT.Buffer().Stats().Add(newT.Buffer().Stats()).Add(otherT.Buffer().Stats())
 
 	if *asJSON {
 		out := struct {
 			Added         []core.Pair `json:"added"`
 			Removed       []core.Pair `json:"removed"`
 			AffectedSites int         `json:"affected_sites"`
-			Probes        int         `json:"probes"`
+			Probes        int64       `json:"probes"`
 			Cells         int         `json:"cells"`
-			PageAccesses  int64       `json:"page_accesses"`
-		}{res.Added, res.Removed, res.Affected, res.Probes, res.Cells, io.PageAccesses()}
+		}{res.Added, res.Removed, res.Affected, res.Candidates, curG.Clipped()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -350,9 +353,9 @@ func runDelta(args []string) error {
 			fmt.Printf("+pair\t%d\t%d\n", pr.P, pr.Q)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "delta(%s ⋈ %s): %d changes, +%d/-%d pairs, %d sites recomputed, %d probes, %d cells\n",
-		*pPath, *qPath, len(changes), len(res.Added), len(res.Removed), res.Affected, res.Probes, res.Cells)
-	fmt.Fprintf(os.Stderr, "I/O: %d page accesses; CPU %v\n", io.PageAccesses(), elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "delta(%s ⋈ %s): %d changes, +%d/-%d pairs, %d sites recomputed, %d probes, %d cells; CPU %v\n",
+		*pPath, *qPath, len(changes), len(res.Added), len(res.Removed), res.Affected, res.Candidates, curG.Clipped(),
+		elapsed.Round(time.Millisecond))
 
 	if *verify {
 		opts := core.DefaultOptions()

@@ -274,9 +274,11 @@ func checkDeltaSeed(t *testing.T, seed int64) {
 
 // TestGraphChurnSeeds is TestDeltaSeeds on Delaunay graphs: across the
 // same seed matrix and batches, each version's graph is derived from the
-// previous one's (grid.Derive), and grid.Churn over the two versions and
-// the opposite side's graph must reproduce the brute-force diff exactly,
-// in both operand orientations.
+// previous one's (grid.Derive), and grid.Churn must reproduce the
+// brute-force diff exactly, in both operand orientations, on two inputs:
+// the derived graph and its parent, which must churn on the derivation's
+// record, and fresh builds of both versions, which must diff two whole
+// joins.
 func TestGraphChurnSeeds(t *testing.T) {
 	for seed := int64(1); seed <= NumSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -298,19 +300,19 @@ func checkGraphChurnSeed(t *testing.T, seed int64) {
 	for round := 0; round < 3; round++ {
 		batch := mutationBatch(rng, cur, ps.Q, round)
 		next := cur.apply(batch)
+		oldPts, oldIDs := cur.livePoints()
 		pts, ids := next.livePoints()
 		derived := grid.Derive(g, pts, ids)
 		if derived == nil {
 			t.Fatalf("round %d: no derivation", round)
 		}
-		var departed, arrived []geom.Point
-		for _, c := range batch {
-			if c.Op != delta.OpInsert {
-				departed = append(departed, c.Old)
-			}
-			if c.Op != delta.OpDelete {
-				arrived = append(arrived, c.New)
-			}
+		inputs := []struct {
+			name     string
+			old, cur *grid.Graph
+			whole    bool
+		}{
+			{"derived", g, derived, false},
+			{"built", grid.NewGraph(oldPts, oldIDs, dataset.Domain), grid.NewGraph(pts, ids, dataset.Domain), true},
 		}
 
 		nextLeft, nextRight := next.brutePairs(ps.Q, true), next.brutePairs(ps.Q, false)
@@ -320,12 +322,17 @@ func checkGraphChurnSeed(t *testing.T, seed int64) {
 			cur, next []core.Pair
 		}{{"left", true, curLeft, nextLeft}, {"right", false, curRight, nextRight}} {
 			wantAdd, wantRem := diffPairs(o.cur, o.next)
-			got := grid.Churn(g, derived, qGraph, departed, arrived, o.left)
-			if !core.SamePairs(got.Added, wantAdd) || !core.SamePairs(got.Removed, wantRem) {
-				t.Fatalf("round %d %s: graph churn +%d/-%d != brute +%d/-%d\nbatch: %+v\nmissing added: %v\nspurious added: %v\nmissing removed: %v\nspurious removed: %v",
-					round, o.name, len(got.Added), len(got.Removed), len(wantAdd), len(wantRem), batch,
-					core.DiffPairs(wantAdd, got.Added), core.DiffPairs(got.Added, wantAdd),
-					core.DiffPairs(wantRem, got.Removed), core.DiffPairs(got.Removed, wantRem))
+			for _, in := range inputs {
+				got := grid.Churn(in.old, in.cur, qGraph, o.left)
+				if got.Whole != in.whole {
+					t.Fatalf("round %d %s, %s graphs: Whole = %v, want %v", round, o.name, in.name, got.Whole, in.whole)
+				}
+				if !core.SamePairs(got.Added, wantAdd) || !core.SamePairs(got.Removed, wantRem) {
+					t.Fatalf("round %d %s, %s graphs: graph churn +%d/-%d != brute +%d/-%d\nbatch: %+v\nmissing added: %v\nspurious added: %v\nmissing removed: %v\nspurious removed: %v",
+						round, o.name, in.name, len(got.Added), len(got.Removed), len(wantAdd), len(wantRem), batch,
+						core.DiffPairs(wantAdd, got.Added), core.DiffPairs(got.Added, wantAdd),
+						core.DiffPairs(wantRem, got.Removed), core.DiffPairs(got.Removed, wantRem))
+				}
 			}
 		}
 		cur, g, curLeft, curRight = next, derived, nextLeft, nextRight

@@ -339,20 +339,6 @@ func (v *version) joinPoints() ([]geom.Point, []int64) {
 	return pts, ids
 }
 
-// positions splits a batch into the positions points left and arrived at,
-// the graph churn's view of it.
-func positions(changes []Change) (departed, arrived []geom.Point) {
-	for _, c := range changes {
-		if c.Op != OpInsert {
-			departed = append(departed, c.Old)
-		}
-		if c.Op != OpDelete {
-			arrived = append(arrived, c.New)
-		}
-	}
-	return departed, arrived
-}
-
 // graphSteps runs steps on Delaunay graphs: each step's successor graph
 // is derived from its predecessor's (the first of each side is built),
 // and do receives the step's three graphs.
@@ -377,12 +363,15 @@ func graphSteps(t testing.TB, steps []step, do func(s step, old, cur, other *gri
 // TestGraphChurnMatchesPairChurn holds grid.Churn on derived graphs to
 // PairChurn on trees, batch for batch on the mutate-live shape: the
 // service churns on graphs, and the service benchmark's traced shadow
-// cross-checks it with PairChurn.
+// cross-checks it with PairChurn. Every batch must churn on the
+// derivation's record, not on two whole joins.
 func TestGraphChurnMatchesPairChurn(t *testing.T) {
 	graphSteps(t, mutateLive(3000, 12, 3), func(s step, old, cur, other *grid.Graph) {
 		want := PairChurn(s.old.view(), s.cur.view(), s.other.view(), s.changes, s.mutatedLeft, domain)
-		departed, arrived := positions(s.changes)
-		got := grid.Churn(old, cur, other, departed, arrived, s.mutatedLeft)
+		got := grid.Churn(old, cur, other, s.mutatedLeft)
+		if got.Whole {
+			t.Fatal("graph churn diffed two whole joins, not the derivation's record")
+		}
 		if !core.SamePairs(got.Added, want.Added) || !core.SamePairs(got.Removed, want.Removed) {
 			t.Fatalf("graph churn +%d/-%d, PairChurn +%d/-%d", len(got.Added), len(got.Removed), len(want.Added), len(want.Removed))
 		}
@@ -394,19 +383,19 @@ func TestGraphChurnMatchesPairChurn(t *testing.T) {
 // grid.Churn over the two and the opposite side's graph, on the same
 // 60-batch sequence. The sequence's first graph of each side is built
 // before the timer starts, and again whenever the ops wrap around it.
+// whole/op counts the churns that diffed two whole joins instead of the
+// derivation's record: 0 on this sequence.
 func BenchmarkGraphChurn(b *testing.B) {
 	steps := mutateLive(10000, 60, 1)
 	type prepared struct {
-		s                 step
-		pts               []geom.Point
-		ids               []int64
-		departed, arrived []geom.Point
+		s   step
+		pts []geom.Point
+		ids []int64
 	}
 	ps := make([]prepared, len(steps))
 	for i, s := range steps {
 		ps[i].s = s
 		ps[i].pts, ps[i].ids = s.cur.joinPoints()
-		ps[i].departed, ps[i].arrived = positions(s.changes)
 	}
 	var graphs [2]*grid.Graph
 	start := func() {
@@ -415,7 +404,7 @@ func BenchmarkGraphChurn(b *testing.B) {
 			graphs[side] = grid.NewGraph(pts, ids, domain)
 		}
 	}
-	var cells, probes, churn int
+	var cells, probes, churn, whole int
 	b.ResetTimer()
 	for i := range b.N {
 		if i%len(ps) == 0 {
@@ -429,13 +418,17 @@ func BenchmarkGraphChurn(b *testing.B) {
 		if cur == nil {
 			b.Fatal("no derivation")
 		}
-		res := grid.Churn(graphs[side], cur, graphs[1-side], p.departed, p.arrived, p.s.mutatedLeft)
+		res := grid.Churn(graphs[side], cur, graphs[1-side], p.s.mutatedLeft)
 		graphs[side] = cur
 		cells += cur.Clipped()
 		probes += int(res.Candidates)
 		churn += len(res.Added) + len(res.Removed)
+		if res.Whole {
+			whole++
+		}
 	}
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	b.ReportMetric(float64(whole)/float64(b.N), "whole/op")
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 	b.ReportMetric(float64(churn)/float64(b.N), "churn/op")
 }

@@ -494,15 +494,9 @@ func (g *Graph) clipSites(cs *cellScratch, v int32) []int32 {
 // storedCell returns the cell of real vertex v from g's table. Its
 // vertices are g's and must not be written.
 func (g *Graph) storedCell(v int32) geom.Polygon {
-	return geom.Polygon{V: g.cellRun(v, v+1)}
-}
-
-// cellRun returns the cells of vertices [lo, hi), which lie in one chunk,
-// back to back. Its points are g's and must not be written.
-func (g *Graph) cellRun(lo, hi int32) []geom.Point {
-	c := &g.cells[lo>>g.cellShift]
-	from, to := g.cellStart[lo]-c.base, g.cellStart[hi]-c.base
-	return c.pts[from:to:to]
+	c := &g.cells[v>>g.cellShift]
+	from, to := g.cellStart[v]-c.base, g.cellStart[v+1]-c.base
+	return geom.Polygon{V: c.pts[from:to:to]}
 }
 
 // nearest walks greedily on the Delaunay graph from real vertex from to

@@ -2,8 +2,10 @@ package grid
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"weak"
 
 	"cij/internal/geom"
 )
@@ -22,7 +24,8 @@ import (
 // inserted as NewGraph inserts; any other change only edits member lists.
 // The edits run on a copy of parent's triangulation numbered in NewGraph's
 // vertex order, and the result copies parent's cell of every vertex whose
-// clipping sites are unchanged and clips the others.
+// clipping sites are unchanged and clips the others. It records which
+// vertices of either graph did not carry over unchanged, for Churn.
 //
 // Both ID tables must be ascending (nil is), as Dataset.JoinPoints makes
 // them: members are matched by merging the two. Derive returns nil, and
@@ -206,7 +209,38 @@ func Derive(parent *Graph, pts []geom.Point, ids []int64) *Graph {
 		members: f.members, memberStart: f.memberStart, ids: ids,
 		tri: f.tri, twin: f.twin, ring: make([]int32, n),
 	}
-	g.deriveCells(parent, from, append(changed, g.deriveAdjacency(f, parent, from, index, moved)...))
+	// A vertex keeps its parent's cell bit for bit when no vertex of its
+	// near-twin cluster is listed: a cell depends on nothing else, and the
+	// neighbour lists of both graphs run in the same canonical order.
+	changed = append(changed, g.deriveAdjacency(f, parent, from, index, moved)...)
+	keep := make([]bool, n)
+	for v := range n {
+		keep[v] = from[v] >= 0
+	}
+	for _, v := range changed {
+		for u := v; ; {
+			keep[u] = false
+			if u = g.ring[u]; u == v {
+				break
+			}
+		}
+	}
+	g.storeCells(runtime.GOMAXPROCS(0), parent.cellShift, parent, from, keep)
+
+	// The record: a kept vertex that gained or lost members differs from
+	// its parent vertex too.
+	g.derived.parent = weak.Make(parent)
+	for v := range n {
+		if o := from[v]; !keep[v] || kept[o] < parent.memberStart[o+1]-parent.memberStart[o] || joins[o] > 0 {
+			keep[v] = false
+			g.derived.cur = append(g.derived.cur, v)
+		}
+	}
+	for o := range oldN {
+		if v := index[o]; v >= n || !keep[v] {
+			g.derived.old = append(g.derived.old, o)
+		}
+	}
 	return g
 }
 
@@ -433,89 +467,5 @@ func (t *triangulation) fillFree() {
 			}
 		}
 		t.tri, t.twin = t.tri[:3*last], t.twin[:3*last]
-	}
-}
-
-// deriveCells fills g's cell table from parent's: from maps each of g's
-// vertices to its parent vertex (−1 for a new one), and changed lists the
-// vertices whose cells may have changed (see deriveAdjacency) and those
-// whose position bits changed. A vertex keeps its parent's cell bit for
-// bit when no vertex of its near-twin cluster is listed: a cell depends on
-// nothing else, and the neighbour lists of both graphs run in the same
-// canonical order. Every other vertex's cell is clipped, and the arena is
-// written at exactly its length.
-func (g *Graph) deriveCells(parent *Graph, from, changed []int32) {
-	dirty := make([]bool, g.n)
-	var clip []int32
-	for _, v := range changed {
-		for u := v; ; {
-			if !dirty[u] {
-				dirty[u] = true
-				clip = append(clip, u)
-			}
-			if u = g.ring[u]; u == v {
-				break
-			}
-		}
-	}
-
-	// Clip the changed cells first, in vertex order, the order they go
-	// into the chunks in.
-	slices.Sort(clip)
-	g.cellStart = make([]int32, g.n+1)
-	g.bounds = make([]geom.Rect, g.n)
-	var cs cellScratch
-	var clipped []geom.Point
-	for _, v := range clip {
-		c := g.cell(&cs, v)
-		clipped = append(clipped, c.V...)
-		g.cellStart[v+1] = int32(len(c.V))
-		g.bounds[v] = c.Bounds()
-	}
-	g.clipped = len(clip)
-	// Copy the kept cells, with their MBRs, in runs of vertices whose
-	// parent vertices are consecutive too, within one chunk of each graph:
-	// a batch breaks the table into few of them.
-	g.cellShift = parent.cellShift
-	run := func(v int32) int32 { // the end of the run of kept vertices from v
-		end := v + 1
-		for end < g.n && !dirty[end] && from[end] == from[end-1]+1 &&
-			end>>g.cellShift == v>>g.cellShift && from[end]>>parent.cellShift == from[v]>>parent.cellShift {
-			end++
-		}
-		return end
-	}
-	for v := int32(0); v < g.n; {
-		if dirty[v] {
-			g.cellStart[v+1] += g.cellStart[v]
-			v++
-			continue
-		}
-		end, o := run(v), from[v]
-		shift := g.cellStart[v] - parent.cellStart[o]
-		for k := v + 1; k <= end; k++ {
-			g.cellStart[k] = parent.cellStart[o+k-v] + shift
-		}
-		copy(g.bounds[v:end], parent.bounds[o:])
-		v = end
-	}
-	g.cells = make([]cellChunk, (g.n+1<<g.cellShift-1)>>g.cellShift)
-	at := 0
-	for u := range g.cells {
-		lo, hi := g.chunkSpan(u)
-		c := &g.cells[u]
-		c.base = g.cellStart[lo]
-		c.pts = make([]geom.Point, g.cellStart[hi]-c.base)
-		for v := lo; v < hi; {
-			dst := c.pts[g.cellStart[v]-c.base:]
-			if dirty[v] {
-				at += copy(dst[:g.cellStart[v+1]-g.cellStart[v]], clipped[at:])
-				v++
-				continue
-			}
-			end := run(v)
-			copy(dst, parent.cellRun(from[v], from[end-1]+1))
-			v = end
-		}
 	}
 }

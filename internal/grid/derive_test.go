@@ -48,9 +48,8 @@ func (m *model) join() ([]geom.Point, []int64) {
 }
 
 // mutate applies one batch of up to ins inserts, mov moves and del
-// deletes at positions from draw, keeping at least one point live, and
-// returns the positions points left and arrived at.
-func (m *model) mutate(rng *rand.Rand, ins, mov, del int, draw func() geom.Point) (left, arrived []geom.Point) {
+// deletes at positions from draw, keeping at least one point live.
+func (m *model) mutate(rng *rand.Rand, ins, mov, del int, draw func() geom.Point) {
 	var live []int
 	for i, ok := range m.alive {
 		if ok {
@@ -61,22 +60,16 @@ func (m *model) mutate(rng *rand.Rand, ins, mov, del int, draw func() geom.Point
 	mov = min(mov, len(live))
 	del = min(del, len(live)-mov-1)
 	for _, id := range live[:mov] {
-		p := draw()
-		left, arrived = append(left, m.pts[id]), append(arrived, p)
-		m.pts[id] = p
+		m.pts[id] = draw()
 	}
 	for _, id := range live[mov : mov+max(del, 0)] {
-		left = append(left, m.pts[id])
 		m.alive[id] = false
 		m.deleted = true
 	}
 	for range ins {
-		p := draw()
-		arrived = append(arrived, p)
-		m.pts = append(m.pts, p)
+		m.pts = append(m.pts, draw())
 		m.alive = append(m.alive, true)
 	}
-	return left, arrived
 }
 
 // pick returns a random live point of m.
@@ -361,7 +354,9 @@ func TestChurnMatchesGridJoins(t *testing.T) {
 // mixes, trimmed to their last 70 points (the twin family and about 60
 // uniform ones): per mix, seqs sequences of 8 batches, each batch derived
 // from the previous version's graph. It holds every batch, in both
-// operand orientations, to the difference of join before and after it.
+// operand orientations, to the difference of join before and after it,
+// and fails a batch whose churn diffed two whole joins instead of the
+// derivation's record.
 func twinChurn(t *testing.T, seqs int, join func(m *model, q []geom.Point, other *grid.Graph, left bool) []core.Pair) {
 	for seq := range seqs {
 		for i, j := range grid.TwinJoins() {
@@ -374,7 +369,7 @@ func twinChurn(t *testing.T, seqs int, join func(m *model, q []geom.Point, other
 			g := grid.NewGraph(pts, ids, dataset.Domain)
 			before := [2][]core.Pair{join(m, q, other, true), join(m, q, other, false)}
 			for version := 2; version <= 9; version++ {
-				departed, arrived := m.mutate(rng, 3, 2, 2, func() geom.Point { return draw(rng, m) })
+				m.mutate(rng, 3, 2, 2, func() geom.Point { return draw(rng, m) })
 				pts, ids := m.join()
 				next := grid.Derive(g, pts, ids)
 				if next == nil {
@@ -382,9 +377,12 @@ func twinChurn(t *testing.T, seqs int, join func(m *model, q []geom.Point, other
 				}
 				for side, left := range []bool{true, false} {
 					after := join(m, q, other, left)
-					got := grid.Churn(g, next, other, departed, arrived, left)
+					got := grid.Churn(g, next, other, left)
 					wantAdd, wantRem := pairDiff(before[side], after)
 					name := fmt.Sprintf("%s sequence %d v%d left=%v", j.Name, seq, version, left)
+					if got.Whole {
+						t.Fatalf("%s: churned two whole joins, not the derivation's record", name)
+					}
 					requireSamePairSet(t, name+" added", got.Added, wantAdd)
 					requireSamePairSet(t, name+" removed", got.Removed, wantRem)
 					before[side] = after
@@ -445,7 +443,9 @@ func decodeLattice(data []byte, n int) ([]geom.Point, []byte) {
 // FuzzDeriveGraph derives graphs across two batches of inserts, deletes
 // and moves on a coarse lattice with near-twin offsets, and holds each
 // derived graph to a fresh NewGraph of the same live points as
-// TestDeriveMatchesRebuild does; a derivation must never panic. The
+// TestDeriveMatchesRebuild does, and its churn from its parent, in both
+// operand orientations, to the diff of JoinGraphs over the two graphs; a
+// derivation must never panic. The
 // first byte sizes the starting set (1 to 32 points), then two bytes
 // make each point, and the rest are batch operations of three bytes: the
 // kind (insert, delete or move), which live point, and, for inserts and
@@ -498,8 +498,33 @@ func FuzzDeriveGraph(f *testing.F) {
 				g = fresh
 				continue
 			}
-			requireSameGraph(t, fmt.Sprintf("batch %d", batch), next, fresh, partner)
+			name := fmt.Sprintf("batch %d", batch)
+			requireSameGraph(t, name, next, fresh, partner)
+			requireChurn(t, name, g, next, partner)
 			g = next
 		}
 	})
+}
+
+// requireChurn holds the churn from parent to its derived graph next, in
+// both operand orientations, to the diff of JoinGraphs over the two
+// graphs with partner, and fails it if it diffed two whole joins.
+func requireChurn(t *testing.T, name string, parent, next, partner *grid.Graph) {
+	t.Helper()
+	for _, left := range []bool{true, false} {
+		join := func(g *grid.Graph) []core.Pair {
+			if left {
+				return grid.JoinGraphs(g, partner, grid.DefaultOptions()).Pairs
+			}
+			return grid.JoinGraphs(partner, g, grid.DefaultOptions()).Pairs
+		}
+		got := grid.Churn(parent, next, partner, left)
+		name := fmt.Sprintf("%s left=%v", name, left)
+		if got.Whole {
+			t.Fatalf("%s: churned two whole joins, not the derivation's record", name)
+		}
+		wantAdd, wantRem := pairDiff(join(parent), join(next))
+		requireSamePairSet(t, name+" added", got.Added, wantAdd)
+		requireSamePairSet(t, name+" removed", got.Removed, wantRem)
+	}
 }

@@ -45,7 +45,7 @@ func (g *Graph) CellTable() ([]geom.Point, []int32, []geom.Rect, bool) {
 // chunk sizes then pays one triangulation per pointset.
 func (g *Graph) CellTableWith(workers, size int) ([]geom.Point, []int32, []geom.Rect, bool) {
 	c := *g
-	c.storeCells(workers, uint8(bits.TrailingZeros(uint(size))))
+	c.storeCells(workers, uint8(bits.TrailingZeros(uint(size))), nil, nil, nil)
 	return c.CellTable()
 }
 

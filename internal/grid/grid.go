@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"runtime"
 	"time"
+	"weak"
 
 	"cij/internal/core"
 	"cij/internal/geom"
@@ -77,6 +78,20 @@ type Graph struct {
 	// clipped is how many cells the graph's construction clipped: every
 	// one for a build, the changed neighbourhoods' for a derivation.
 	clipped int
+	derived derivation // zero for a build
+}
+
+// derivation is a derived graph's record of what its derivation changed,
+// which Churn diffs. parent weakly names the graph it was derived from, so
+// the record keeps no parent alive. cur lists the derived graph's
+// vertices whose cell or members differ from their parent vertex's, the
+// new ones included, and old the parent's vertices that did not carry
+// over unchanged, the removed ones included; both ascend. Every vertex in
+// neither list stores its parent vertex's cell and MBR bit for bit and
+// reports the same IDs.
+type derivation struct {
+	parent   weak.Pointer[Graph]
+	old, cur []int32
 }
 
 // NewGraph triangulates pts over domain (see the package comment) and
@@ -100,7 +115,7 @@ func newGraph(pts []geom.Point, ids []int64, domain geom.Rect, workers, size int
 	if size > 0 {
 		shift = uint8(bits.TrailingZeros(uint(size)))
 	}
-	g.storeCells(workers, shift)
+	g.storeCells(workers, shift, nil, nil, nil)
 	return g
 }
 
@@ -122,15 +137,24 @@ type cellChunk struct {
 func (g *Graph) Clipped() int { return g.clipped }
 
 // storeCells fills the cell table in chunks of 1<<shift vertices, one
-// unit of work each on up to workers goroutines. A worker clips a chunk's
-// cells into the one buffer it reuses across its chunks and copies them
-// into the chunk's arena, allocated at exactly their length.
-func (g *Graph) storeCells(workers int, shift uint8) {
+// unit of work each on up to workers goroutines, and is the only writer of
+// a cell table. A vertex marked in keep copies the cell and MBR of vertex
+// from[v] of parent; every other one is clipped, as is every vertex when
+// keep is nil. A worker gathers a chunk's cells in the one buffer it
+// reuses across its chunks and copies them into the chunk's arena,
+// allocated at exactly their length.
+func (g *Graph) storeCells(workers int, shift uint8, parent *Graph, from []int32, keep []bool) {
 	g.cellShift = shift
 	k := int((g.n + 1<<shift - 1) >> shift)
 	g.cellStart = make([]int32, g.n+1)
 	g.bounds = make([]geom.Rect, g.n)
 	g.cells = make([]cellChunk, k)
+	g.clipped = int(g.n)
+	for _, kept := range keep {
+		if kept {
+			g.clipped--
+		}
+	}
 	type cellWorker struct {
 		cs  cellScratch
 		buf []geom.Point
@@ -144,10 +168,15 @@ func (g *Graph) storeCells(workers int, shift uint8) {
 		lo, hi := g.chunkSpan(u)
 		cw.buf = cw.buf[:0]
 		for v := lo; v < hi; v++ {
-			c := g.cell(&cw.cs, v)
+			var c geom.Polygon
+			if keep != nil && keep[v] {
+				c, g.bounds[v] = parent.storedCell(from[v]), parent.bounds[from[v]]
+			} else {
+				c = g.cell(&cw.cs, v)
+				g.bounds[v] = c.Bounds()
+			}
 			cw.buf = append(cw.buf, c.V...)
 			g.cellStart[v+1] = int32(len(c.V)) // the cell's length until the sums below
-			g.bounds[v] = c.Bounds()
 		}
 		g.cells[u].pts = make([]geom.Point, len(cw.buf))
 		copy(g.cells[u].pts, cw.buf)
@@ -159,7 +188,6 @@ func (g *Graph) storeCells(workers int, shift uint8) {
 		lo, _ := g.chunkSpan(u)
 		g.cells[u].base = g.cellStart[lo]
 	}
-	g.clipped = int(g.n)
 }
 
 // chunkSpan returns the vertices [lo, hi) of cell chunk u.

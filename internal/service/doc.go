@@ -50,12 +50,17 @@
 //     subscribed dataset triggers a delta run: grid.Churn on the graphs
 //     of the old and new versions and of the opposite dataset. The
 //     paper's Lemma 1/2 influence bound, made exact by the Delaunay
-//     neighbourhoods, confines the cells a change can affect, so the run
-//     finds exactly which pairs appear and disappear without recomputing
-//     the join, and /join/subscribe streams that churn as NDJSON events.
-//     Its journal record carries a trace: a "graph" span per version
-//     (Items: the points this run triangulated, 0 when derived or reused)
-//     and a "churn" span (Candidates: predicate tests, TrueHits: joins).
+//     neighbourhoods, confines the cells a change can affect; a derived
+//     graph records them, so the run floods only those cells and finds
+//     exactly which pairs appear and disappear without recomputing the
+//     join, and /join/subscribe streams that churn as NDJSON events. A
+//     new version whose graph was built instead of derived (the first
+//     mutation after a lazy build, or a declined derivation) churns by
+//     diffing two whole joins, tens of times slower. Its journal record
+//     carries a trace: a "graph" span per version (Items: the points this
+//     run triangulated, 0 when derived or reused) and a "churn" span
+//     tagged with its path, "derived" or "whole" (Candidates: predicate
+//     tests, TrueHits: joins).
 //
 //   - Planner/dispatcher (planner.go): maps a Query {left, right, algo,
 //     workers, topk} onto an execution plan. An explicit algo ("nm",

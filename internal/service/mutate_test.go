@@ -169,8 +169,11 @@ func TestMutateAlgosAgreeAfterMutation(t *testing.T) {
 
 // TestMutateWideStarBuildsLazily: deleting the hub of an 80-point wheel
 // leaves a star wider than grid.Derive edits, so the mutation leaves
-// version 2 without a graph and its first grid join builds one, with the
-// same pairs as brute force.
+// version 2 without a graph. The subscribed join's delta run then builds
+// it (its "new" graph span triangulates p's 80 points) and diffs two
+// whole joins (its churn span reads "whole"), and the streamed churn
+// takes version 1's brute-force pairs to version 2's. Version 2's grid
+// join reuses that graph, with the same pairs as brute force.
 func TestMutateWideStarBuildsLazily(t *testing.T) {
 	p := []geom.Point{geom.Pt(5000, 5000)}
 	for k := range 80 {
@@ -178,18 +181,58 @@ func TestMutateWideStarBuildsLazily(t *testing.T) {
 		p = append(p, geom.Pt(5000+100*math.Cos(a), 5000+100*math.Sin(a)))
 	}
 	q := dataset.Uniform(100, 103)
-	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	svc, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	resp, err := http.Get(ts.URL + "/join/subscribe?left=p&right=q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() {
+		t.Fatal("no subscribed line")
+	}
 	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid"})
 
 	m := newMirror(p)
+	current := m.brute(q)
 	req := service.MutationRequest{Delete: []int64{0}}
-	if _, code := mutate(t, ts, "p", req); code != http.StatusOK {
-		t.Fatalf("mutation status %d", code)
+	mr, code := mutate(t, ts, "p", req)
+	if code != http.StatusOK || len(mr.Deltas) != 1 {
+		t.Fatalf("mutation status %d with %d deltas", code, len(mr.Deltas))
 	}
 	m.apply(req)
+	spans, _, _ := svc.Journal().TraceFor(mr.Deltas[0].QueryID)
+	built, path := int64(-1), ""
+	for _, sp := range spans {
+		switch {
+		case sp.Phase == "graph" && sp.Tag == "new":
+			built = sp.Items
+		case sp.Phase == "churn":
+			path = sp.Tag
+		}
+	}
+	if built != 80 || path != "whole" {
+		t.Fatalf("delta run triangulated %d points of version 2 and churned %q, want 80 (no derivation) and \"whole\"", built, path)
+	}
+	for sc.Scan() {
+		var ev service.StreamChurn
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		if ev.Type == "delta" {
+			break
+		}
+		if pr := (core.Pair{P: ev.P, Q: ev.Q}); ev.Type == "+pair" {
+			current[pr] = true
+		} else {
+			delete(current, pr)
+		}
+	}
+	sameSet(t, "version 1 + churn", current, m.brute(q))
+
 	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid", Trace: true})
-	if got := triangulated(t, jr); got["p"] != 80 || got["q"] != 0 {
-		t.Fatalf("version 2 grid join triangulated %v, want p's 80 points (no derivation) and q's graph reused", got)
+	if got := triangulated(t, jr); got["p"] != 0 || got["q"] != 0 {
+		t.Fatalf("version 2 grid join triangulated %v, want both graphs reused", got)
 	}
 	sameSet(t, "version 2 grid", pairSet(jr.Pairs), m.brute(q))
 }
@@ -426,10 +469,11 @@ func TestSubscribeChurn(t *testing.T) {
 // TestDeltaTrace: a delta run is journaled as a run on Delaunay graphs,
 // with no storage and no page I/O, and with a trace: one "graph" span per
 // role whose Items is the points the run triangulated, and one "churn"
-// span whose Candidates are the summary's probes. The first mutation
-// builds all three graphs; the next one of the same dataset finds its new
-// version's graph derived and the other two built, and triangulates
-// nothing.
+// span whose Candidates are the summary's probes and whose tag names the
+// churn's path. The first mutation builds all three graphs and so diffs
+// two whole joins ("whole"); the next one of the same dataset finds its
+// new version's graph derived and the other two built, triangulates
+// nothing and churns on the derivation's record ("derived").
 func TestDeltaTrace(t *testing.T) {
 	p, q := dataset.Uniform(300, 141), dataset.Uniform(200, 142)
 	svc, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
@@ -441,6 +485,7 @@ func TestDeltaTrace(t *testing.T) {
 	if !bufio.NewScanner(resp.Body).Scan() {
 		t.Fatal("no subscribed line")
 	}
+	paths := []string{"whole", "derived"} // each round's churn span tag
 	for round, want := range []map[string]int64{{"old": 300, "new": 300, "other": 200}, {"old": 0, "new": 0, "other": 0}} {
 		req := service.MutationRequest{
 			Insert: []service.PointJSON{{X: 1000 + 3000*float64(round), Y: 2500}},
@@ -473,8 +518,8 @@ func TestDeltaTrace(t *testing.T) {
 		if len(got) != 3 || got["old"] != want["old"] || got["new"] != want["new"] || got["other"] != want["other"] {
 			t.Fatalf("round %d: graph spans triangulated %v, want %v", round, got, want)
 		}
-		if churn == nil || churn.Candidates != int64(d.Probes) || churn.TrueHits < 1 {
-			t.Fatalf("round %d: churn span %+v, want %d candidates and some hits", round, churn, d.Probes)
+		if churn == nil || churn.Tag != paths[round] || churn.Candidates != int64(d.Probes) || churn.TrueHits < 1 {
+			t.Fatalf("round %d: churn span %+v, want tag %q, %d candidates and some hits", round, churn, paths[round], d.Probes)
 		}
 		if round == 1 && (d.Cells < 1 || d.Cells >= 300) {
 			t.Fatalf("round %d: %d cells computed, want the derived graph's few", round, d.Cells)

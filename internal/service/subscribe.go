@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cij/internal/delta"
-	"cij/internal/geom"
 	"cij/internal/grid"
 	"cij/internal/obs"
 	"cij/internal/storage"
@@ -244,7 +243,9 @@ func (s *Service) propagateMutation(old, cur *Dataset, changes []delta.Change) [
 // — query ID, journal record (algo "delta") with its trace, latency
 // histogram, structured log. The new version's graph is normally derived
 // already (PrepareMutation); a graph no earlier request built is built
-// here, and its "graph" span says so.
+// here, and its "graph" span says so. The "churn" span's tag names the
+// churn's path: "derived" when it diffed the derivation's record,
+// "whole" when it diffed two whole joins.
 func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, changes []delta.Change) *DeltaSummaryJSON {
 	mutatedLeft := leftName == cur.Name
 	otherName := rightName
@@ -272,18 +273,10 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 			cells += g.Clipped()
 		}
 	}
-	var departed, arrived []geom.Point
-	for _, c := range changes {
-		if c.Op != delta.OpInsert {
-			departed = append(departed, c.Old)
-		}
-		if c.Op != delta.OpDelete {
-			arrived = append(arrived, c.New)
-		}
-	}
 	t := time.Now()
-	res := grid.Churn(graphs[0], graphs[1], graphs[2], departed, arrived, mutatedLeft)
-	tr.Add("churn", "", time.Since(t), obs.Counters{Candidates: res.Candidates, TrueHits: res.TrueHits})
+	res := grid.Churn(graphs[0], graphs[1], graphs[2], mutatedLeft)
+	tr.Add("churn", map[bool]string{false: "derived", true: "whole"}[res.Whole], time.Since(t),
+		obs.Counters{Candidates: res.Candidates, TrueHits: res.TrueHits})
 	wall := time.Since(start)
 	churn := len(res.Added) + len(res.Removed)
 
