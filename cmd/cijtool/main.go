@@ -221,7 +221,7 @@ func runJoin(args []string) error {
 				resp.Storage = "paged"
 			}
 		}
-		resp.Trace = service.NewTraceJSON(tr.Spans(), tr.Dropped())
+		resp.Trace = service.NewTraceJSON(tr.Spans())
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(resp); err != nil {
@@ -259,9 +259,6 @@ func runJoin(args []string) error {
 			fmt.Fprintf(os.Stderr, "  %-14s %10v  reads=%d writes=%d logical=%d cand=%d hits=%d\n",
 				name, sp.Wall.Round(time.Microsecond),
 				sp.PagesRead, sp.PagesWritten, sp.LogicalReads, sp.Candidates, sp.TrueHits)
-		}
-		if d := tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "  (%d spans folded into per-phase overflow rows)\n", d)
 		}
 	}
 	return nil

@@ -48,10 +48,10 @@ type Span struct {
 	Counters
 }
 
-// DefaultMaxSpans bounds the distinct (phase, tag) pairs a Trace keeps
+// MaxSpans bounds the distinct (phase, tag) pairs a Trace keeps
 // before folding new pairs into a per-phase overflow span — generous for
 // phase-per-worker traces, a guard against per-tile explosion.
-const DefaultMaxSpans = 128
+const MaxSpans = 128
 
 // OverflowTag is the tag of the per-phase span that absorbs recordings
 // arriving after the distinct-span cap is reached.
@@ -62,12 +62,10 @@ const OverflowTag = "other"
 // is the disabled tracer — every method no-ops — so call sites guard
 // their measurement work with Enabled and pass the trace down untouched.
 type Trace struct {
-	mu      sync.Mutex
-	start   time.Time
-	keys    map[spanKey]int // (phase, tag) -> index into spans
-	spans   []Span
-	max     int
-	dropped int64
+	mu    sync.Mutex
+	start time.Time
+	keys  map[spanKey]int // (phase, tag) -> index into spans
+	spans []Span
 }
 
 type spanKey struct{ phase, tag string }
@@ -77,22 +75,7 @@ func NewTrace() *Trace {
 	return &Trace{
 		start: time.Now(),
 		keys:  make(map[spanKey]int),
-		max:   DefaultMaxSpans,
 	}
-}
-
-// SetMaxSpans bounds the number of distinct (phase, tag) spans kept;
-// n <= 0 restores the default. Call before recording.
-func (t *Trace) SetMaxSpans(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSpans
-	}
-	t.mu.Lock()
-	t.max = n
-	t.mu.Unlock()
 }
 
 // Enabled reports whether the trace records anything: the idiom is
@@ -100,8 +83,8 @@ func (t *Trace) SetMaxSpans(n int) {
 func (t *Trace) Enabled() bool { return t != nil }
 
 // Add folds one recording into the span keyed (phase, tag). Past the
-// distinct-span cap, new pairs collapse into (phase, OverflowTag) and the
-// dropped count grows. Nil-safe no-op.
+// distinct-span cap, new pairs collapse into (phase, OverflowTag).
+// Nil-safe no-op.
 func (t *Trace) Add(phase, tag string, wall time.Duration, c Counters) {
 	if t == nil {
 		return
@@ -111,8 +94,7 @@ func (t *Trace) Add(phase, tag string, wall time.Duration, c Counters) {
 	key := spanKey{phase, tag}
 	i, ok := t.keys[key]
 	if !ok {
-		if len(t.spans) >= t.max {
-			t.dropped++
+		if len(t.spans) >= MaxSpans {
 			key = spanKey{phase, OverflowTag}
 			if i, ok = t.keys[key]; !ok {
 				// One overflow span per phase may exceed the cap; the
@@ -168,15 +150,4 @@ func (t *Trace) Wall() time.Duration {
 		return 0
 	}
 	return time.Since(t.start)
-}
-
-// Dropped returns how many recordings were folded into overflow spans
-// because the distinct-span cap was hit. Nil-safe (zero).
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }

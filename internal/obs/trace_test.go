@@ -14,8 +14,7 @@ func TestTraceNilSafe(t *testing.T) {
 		t.Fatal("nil trace reports enabled")
 	}
 	tr.Add("filter", "", time.Second, Counters{PagesRead: 1})
-	tr.SetMaxSpans(4)
-	if tr.Spans() != nil || tr.Total() != (Counters{}) || tr.Wall() != 0 || tr.Dropped() != 0 {
+	if tr.Spans() != nil || tr.Total() != (Counters{}) || tr.Wall() != 0 {
 		t.Fatal("nil trace leaked state")
 	}
 }
@@ -46,29 +45,26 @@ func TestTraceAggregatesByPhaseTag(t *testing.T) {
 
 func TestTraceOverflowFoldsIntoOther(t *testing.T) {
 	tr := NewTrace()
-	tr.SetMaxSpans(2)
-	tr.Add("tile", "0,0", time.Millisecond, Counters{TrueHits: 1})
-	tr.Add("tile", "0,1", time.Millisecond, Counters{TrueHits: 1})
-	tr.Add("tile", "0,2", time.Millisecond, Counters{TrueHits: 1}) // overflows
-	tr.Add("tile", "0,3", time.Millisecond, Counters{TrueHits: 1}) // folds into same overflow span
-	tr.Add("tile", "0,0", time.Millisecond, Counters{TrueHits: 1}) // existing key, not dropped
+	for i := range MaxSpans {
+		tr.Add("tile", fmt.Sprint(i), time.Millisecond, Counters{TrueHits: 1})
+	}
+	tr.Add("tile", "x", time.Millisecond, Counters{TrueHits: 1}) // overflows
+	tr.Add("tile", "y", time.Millisecond, Counters{TrueHits: 1}) // folds into same overflow span
+	tr.Add("tile", "0", time.Millisecond, Counters{TrueHits: 1}) // existing key, not folded
 
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
 	spans := tr.Spans()
-	var other *Span
-	for i := range spans {
-		if spans[i].Tag == OverflowTag {
-			other = &spans[i]
-		}
+	if len(spans) != MaxSpans+1 {
+		t.Fatalf("spans = %d, want %d: the cap plus one overflow span", len(spans), MaxSpans+1)
 	}
-	if other == nil || other.TrueHits != 2 {
-		t.Fatalf("overflow span = %+v (spans %+v)", other, spans)
+	if other := spans[MaxSpans]; other.Tag != OverflowTag || other.TrueHits != 2 {
+		t.Fatalf("overflow span = %+v", other)
+	}
+	if spans[0].TrueHits != 2 {
+		t.Fatalf("span 0 = %+v, want its own second recording", spans[0])
 	}
 	// Counters are conserved across the fold.
-	if total := tr.Total(); total.TrueHits != 5 {
-		t.Fatalf("total hits = %d, want 5", total.TrueHits)
+	if total := tr.Total(); total.TrueHits != MaxSpans+3 {
+		t.Fatalf("total hits = %d, want %d", total.TrueHits, MaxSpans+3)
 	}
 }
 

@@ -40,8 +40,7 @@ type cachedResult struct {
 	// Trace holds the run's phase spans (every computed join is traced).
 	// Cache hits and single-flight followers replay the original run's
 	// spans.
-	Trace        []obs.Span
-	TraceDropped int64
+	Trace []obs.Span
 }
 
 // resultCache is the versioned LRU of join results. Versioned keys make

@@ -19,13 +19,9 @@ import (
 type QueriesResponse struct {
 	// Total counts observations ever journaled; Returned the records in
 	// this response (after filtering and the limit).
-	Total    int64 `json:"total"`
-	Returned int   `json:"returned"`
-	// RetainedTraces lists the query IDs whose phase traces are held in
-	// memory (slowest first); each is servable at /debug/queries/{id} and
-	// /debug/queries/{id}/trace.json.
-	RetainedTraces []int64         `json:"retained_traces,omitempty"`
-	Queries        []JournalRecord `json:"queries"`
+	Total    int64           `json:"total"`
+	Returned int             `json:"returned"`
+	Queries  []JournalRecord `json:"queries"`
 }
 
 // handleDebugQueries lists recent observations. Query parameters:
@@ -52,10 +48,9 @@ func (s *Service) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		recs = []JournalRecord{} // an empty journal is [], not null
 	}
 	writeJSON(w, http.StatusOK, QueriesResponse{
-		Total:          total,
-		Returned:       len(recs),
-		RetainedTraces: s.journal.RetainedTraces(),
-		Queries:        recs,
+		Total:    total,
+		Returned: len(recs),
+		Queries:  recs,
 	})
 }
 
@@ -65,8 +60,8 @@ func queryID(r *http.Request) (int64, bool) {
 	return id, err == nil && id > 0
 }
 
-// handleDebugQuery returns one observation record; when the query's
-// phase trace is among the retained slowest-K it is attached inline.
+// handleDebugQuery returns one observation record with its run's phase
+// trace inline.
 func (s *Service) handleDebugQuery(w http.ResponseWriter, r *http.Request) {
 	id, ok := queryID(r)
 	if !ok {
@@ -78,28 +73,24 @@ func (s *Service) handleDebugQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "query %d not journaled (expired from the ring, or never served)", id)
 		return
 	}
-	if spans, dropped, ok := s.journal.TraceFor(id); ok {
-		rec.Trace = NewTraceJSON(spans, dropped)
-	}
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleDebugQueryTrace serves a retained trace in Chrome trace-event
-// JSON — loadable as-is in chrome://tracing or Perfetto. Only the
-// slowest-K computed joins keep their spans, so most IDs 404 here even
-// while their ring record is still listable.
+// handleDebugQueryTrace serves a journaled run's trace in Chrome
+// trace-event JSON — loadable as-is in chrome://tracing or Perfetto. A
+// cache hit ran nothing, so its ID 404s here like one that left the ring.
 func (s *Service) handleDebugQueryTrace(w http.ResponseWriter, r *http.Request) {
 	id, ok := queryID(r)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
 		return
 	}
-	spans, _, ok := s.journal.TraceFor(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no retained trace for query %d (only the slowest %d computed joins keep spans)", id, DefaultJournalSlowest)
+	rec, ok := s.journal.Get(id)
+	if !ok || rec.spans == nil {
+		writeError(w, http.StatusNotFound, "no trace for query %d (a cache hit, expired from the ring, or never served)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, obs.ChromeTraceFromSpans(spans, os.Getpid()))
+	writeJSON(w, http.StatusOK, obs.ChromeTraceFromSpans(rec.spans, os.Getpid()))
 }
 
 // HistoryQuantilesJSON is one latency family's windowed distribution, in

@@ -44,9 +44,11 @@
 //     PrepareMutation derives the successor's from it by local edits
 //     (grid.Derive: about 2 ms for a 16-change batch on 10k points,
 //     against 15–20 ms for a build); it reads the parent's graph and
-//     shares no array with it. Otherwise, or when Derive declines (a
-//     removed point's star of more than 64 corners), the successor builds
-//     its own on first use, like an ingested version. Each mutation of a
+//     shares no array with it. Otherwise the successor's graph waits for
+//     its first use: a delta run derives it the same way from the parent's
+//     graph, which it fetches first, and a grid join builds it, like an
+//     ingested version's. When Derive declines (a removed point's star of
+//     more than 64 corners), the first use builds it. Each mutation of a
 //     subscribed dataset triggers a delta run: grid.Churn on the graphs
 //     of the old and new versions and of the opposite dataset. The
 //     paper's Lemma 1/2 influence bound, made exact by the Delaunay
@@ -54,13 +56,13 @@
 //     graph records them, so the run floods only those cells and finds
 //     exactly which pairs appear and disappear without recomputing the
 //     join, and /join/subscribe streams that churn as NDJSON events. A
-//     new version whose graph was built instead of derived (the first
-//     mutation after a lazy build, or a declined derivation) churns by
-//     diffing two whole joins, tens of times slower. Its journal record
-//     carries a trace: a "graph" span per version (Items: the points this
-//     run triangulated, 0 when derived or reused) and a "churn" span
-//     tagged with its path, "derived" or "whole" (Candidates: predicate
-//     tests, TrueHits: joins).
+//     new version whose graph was built instead of derived (Derive
+//     declined, or a join on the new version built it before the delta
+//     run reached it) churns by diffing two whole joins, tens of times
+//     slower. Its journal record keeps its trace: a "graph" span per
+//     version (Items: the points this run triangulated, 0 when derived
+//     or reused) and a "churn" span tagged with its path, "derived" or
+//     "whole" (Candidates: predicate tests, TrueHits: joins).
 //
 //   - Planner/dispatcher (planner.go): maps a Query {left, right, algo,
 //     workers, topk} onto an execution plan. An explicit algo ("nm",
@@ -122,9 +124,10 @@
 //	GET  /metrics           Prometheus text exposition of every family
 //	GET  /debug/queries     the query journal: recent observation records,
 //	                        filterable by ?dataset= ?algo= ?min_ms= ?limit=
-//	GET  /debug/queries/{id}            one record, retained trace inline
-//	GET  /debug/queries/{id}/trace.json the retained trace as Chrome
-//	                        trace-event JSON (chrome://tracing, Perfetto)
+//	GET  /debug/queries/{id}            one record, its run's trace inline
+//	GET  /debug/queries/{id}/trace.json the run's trace as Chrome
+//	                        trace-event JSON (chrome://tracing, Perfetto);
+//	                        404 for a cache hit, which ran nothing
 //
 // The buffered and streaming paths share one executor and one encoding
 // (encode.go); cmd/cijtool's -json flag emits the same JoinResponse, so
@@ -173,9 +176,11 @@
 //     /metrics counter deltas — the label vector, already consistent
 //     with every other surface.
 //
-// The in-memory ring keeps the newest records plus the phase traces of
-// the slowest-K computed joins; cijserver's -journal flag appends every
-// record (traces included) to a JSONL file, and ReadJournal replays it.
+// The in-memory ring keeps the newest records, each with the phase trace
+// of its own run (join or delta run; a cache hit has none), so a trace
+// lives exactly as long as its record; cijserver's -journal flag appends
+// every record (traces included) to a JSONL file, and ReadJournal
+// replays it.
 // Explain attaches Journal.Observed — the aggregate over matching past
 // observations — next to the model's reasoning, so the modeled-vs-
 // observed gap is visible per plan before any learning exists. The

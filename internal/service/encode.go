@@ -66,14 +66,11 @@ type TraceSpanJSON struct {
 // accounting invariance), so summing the spans reproduces the totals.
 type TraceJSON struct {
 	Spans []TraceSpanJSON `json:"spans"`
-	// Dropped counts spans folded into the per-phase "other" overflow rows
-	// when a run exceeded the span cap; 0 in ordinary runs.
-	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // NewTraceJSON converts recorded spans to the wire form; nil when the run
 // was not traced. Exported for cmd/cijtool's `join -json -trace`.
-func NewTraceJSON(spans []obs.Span, dropped int64) *TraceJSON {
+func NewTraceJSON(spans []obs.Span) *TraceJSON {
 	if spans == nil {
 		return nil
 	}
@@ -86,7 +83,7 @@ func NewTraceJSON(spans []obs.Span, dropped int64) *TraceJSON {
 			Counters: sp.Counters,
 		}
 	}
-	return &TraceJSON{Spans: out, Dropped: dropped}
+	return &TraceJSON{Spans: out}
 }
 
 // JoinRequest is the body of POST /join.
@@ -170,7 +167,7 @@ func (o *Outcome) response(topK int, withTrace bool) JoinResponse {
 	resp.Cached = o.Cached
 	resp.Stats = o.statsJSON()
 	if withTrace {
-		resp.Trace = NewTraceJSON(o.Result.Trace, o.Result.TraceDropped)
+		resp.Trace = NewTraceJSON(o.Result.Trace)
 	}
 	return resp
 }

@@ -19,12 +19,8 @@ import (
 // narrated reason) with what actually happened (wall time,
 // pages, logical reads, decode hits/misses, pairs emitted).
 
-// DefaultJournalEntries is the ring capacity of every service's journal;
-// DefaultJournalSlowest the retained-trace count.
-const (
-	DefaultJournalEntries = 512
-	DefaultJournalSlowest = 8
-)
+// DefaultJournalEntries is the ring capacity of every service's journal.
+const DefaultJournalEntries = 512
 
 // JournalRecord is one observation: identity, plan, and outcome. Stats is
 // the same JoinStatsJSON the JoinResponse carried — byte-equal by
@@ -55,31 +51,22 @@ type JournalRecord struct {
 	Stats JoinStatsJSON `json:"stats"`
 	Slow  bool          `json:"slow,omitempty"`
 
-	// Trace carries the per-phase spans on JSONL sink lines (the training
-	// corpus keeps the phase breakdown) and on GET /debug/queries/{id}
-	// responses whose trace was retained; ring-resident records leave it
-	// nil — only the slowest-K traces stay in memory.
+	// Trace carries the run's per-phase spans on JSONL sink lines (the
+	// training corpus keeps the phase breakdown) and on Get's records
+	// (GET /debug/queries/{id}); listings leave it nil.
 	Trace *TraceJSON `json:"trace,omitempty"`
-}
-
-// retainedTrace is one slowest-K entry: the spans of a computed join kept
-// beyond its ring record.
-type retainedTrace struct {
-	id      int64
-	wallMS  float64
-	spans   []obs.Span
-	dropped int64
+	// spans are the run's phase spans, kept with the ring record; nil for
+	// a cache hit, which ran nothing.
+	spans []obs.Span
 }
 
 // Journal is the capped observation ring.
 type Journal struct {
-	mu      sync.Mutex
-	recs    []JournalRecord // ring storage
-	next    int             // index the next record lands in
-	count   int             // live records
-	total   int64           // records ever journaled
-	slowK   int
-	slowest []retainedTrace // ascending by wallMS, len <= slowK
+	mu    sync.Mutex
+	recs  []JournalRecord // ring storage
+	next  int             // index the next record lands in
+	count int             // live records
+	total int64           // records ever journaled
 
 	sinkMu sync.Mutex
 	sink   *bufio.Writer
@@ -87,17 +74,14 @@ type Journal struct {
 }
 
 // NewJournal creates a journal ring holding at most entries records
-// (0 selects DefaultJournalEntries) and retaining the phase traces of the
-// slowest computed joins (0 selects DefaultJournalSlowest). sink, when
-// non-nil, receives one JSON line per observation, append-only.
-func NewJournal(entries, slowest int, sink io.Writer) *Journal {
+// (0 selects DefaultJournalEntries), each with its run's phase spans.
+// sink, when non-nil, receives one JSON line per observation,
+// append-only.
+func NewJournal(entries int, sink io.Writer) *Journal {
 	if entries <= 0 {
 		entries = DefaultJournalEntries
 	}
-	if slowest <= 0 {
-		slowest = DefaultJournalSlowest
-	}
-	j := &Journal{recs: make([]JournalRecord, entries), slowK: slowest}
+	j := &Journal{recs: make([]JournalRecord, entries)}
 	if sink != nil {
 		j.sinkW = sink
 		j.sink = bufio.NewWriter(sink)
@@ -105,10 +89,11 @@ func NewJournal(entries, slowest int, sink io.Writer) *Journal {
 	return j
 }
 
-// Add journals one observation. spans (nil for cache hits and delta runs,
-// which carry no trace of their own) compete for slowest-K retention; the
-// sink line is written outside the ring lock with the spans attached.
-func (j *Journal) Add(rec JournalRecord, spans []obs.Span, dropped int64) {
+// Add journals one observation with the phase spans of its run (nil for
+// a cache hit); the ring record keeps them until it is overwritten, and
+// the sink line is written outside the ring lock with them attached.
+func (j *Journal) Add(rec JournalRecord, spans []obs.Span) {
+	rec.spans = spans
 	j.mu.Lock()
 	j.recs[j.next] = rec
 	j.next = (j.next + 1) % len(j.recs)
@@ -116,15 +101,10 @@ func (j *Journal) Add(rec JournalRecord, spans []obs.Span, dropped int64) {
 		j.count++
 	}
 	j.total++
-	if spans != nil && !rec.Cached {
-		j.retainLocked(rec.ID, rec.Stats.WallMS, spans, dropped)
-	}
 	j.mu.Unlock()
 
 	if j.sink != nil {
-		if spans != nil {
-			rec.Trace = NewTraceJSON(spans, dropped)
-		}
+		rec.Trace = NewTraceJSON(spans)
 		j.sinkMu.Lock()
 		if b, err := json.Marshal(rec); err == nil {
 			j.sink.Write(b)
@@ -133,24 +113,6 @@ func (j *Journal) Add(rec JournalRecord, spans []obs.Span, dropped int64) {
 		}
 		j.sinkMu.Unlock()
 	}
-}
-
-// retainLocked folds one traced run into the slowest-K set (ascending by
-// wall time; the fastest retained entry is evicted first).
-func (j *Journal) retainLocked(id int64, wallMS float64, spans []obs.Span, dropped int64) {
-	if len(j.slowest) >= j.slowK {
-		if wallMS <= j.slowest[0].wallMS {
-			return
-		}
-		j.slowest = j.slowest[1:]
-	}
-	i := 0
-	for i < len(j.slowest) && j.slowest[i].wallMS <= wallMS {
-		i++
-	}
-	j.slowest = append(j.slowest, retainedTrace{})
-	copy(j.slowest[i+1:], j.slowest[i:])
-	j.slowest[i] = retainedTrace{id: id, wallMS: wallMS, spans: spans, dropped: dropped}
 }
 
 // JournalFilter narrows a Recent listing. Zero values match everything.
@@ -191,42 +153,19 @@ func (j *Journal) Recent(f JournalFilter) ([]JournalRecord, int64) {
 	return out, j.total
 }
 
-// Get returns the ring record with the given query ID.
+// Get returns the ring record with the given query ID, its run's spans
+// attached as Trace (nil for a cache hit).
 func (j *Journal) Get(id int64) (JournalRecord, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i := 1; i <= j.count; i++ {
 		rec := j.recs[((j.next-i)%len(j.recs)+len(j.recs))%len(j.recs)]
 		if rec.ID == id {
+			rec.Trace = NewTraceJSON(rec.spans)
 			return rec, true
 		}
 	}
 	return JournalRecord{}, false
-}
-
-// TraceFor returns the retained phase spans of the given query, if it is
-// one of the slowest-K.
-func (j *Journal) TraceFor(id int64) ([]obs.Span, int64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, rt := range j.slowest {
-		if rt.id == id {
-			return rt.spans, rt.dropped, true
-		}
-	}
-	return nil, 0, false
-}
-
-// RetainedTraces lists the query IDs whose traces are retained, slowest
-// first.
-func (j *Journal) RetainedTraces() []int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]int64, 0, len(j.slowest))
-	for i := len(j.slowest) - 1; i >= 0; i-- {
-		out = append(out, j.slowest[i].id)
-	}
-	return out
 }
 
 // Len reports the live record count, Total the records ever journaled.

@@ -23,15 +23,17 @@ func mkRec(id int64, left, algo string, wallMS float64) service.JournalRecord {
 }
 
 // TestJournalRingWraparound: the ring keeps the newest entries-capacity
-// records, lists them newest first, and filters by dataset/algo/latency.
+// records, each with its run's spans, lists them newest first without
+// the spans, and filters by dataset/algo/latency.
 func TestJournalRingWraparound(t *testing.T) {
-	j := service.NewJournal(4, 2, nil)
+	j := service.NewJournal(4, nil)
 	for i := int64(1); i <= 6; i++ {
 		algo := "nm"
 		if i%2 == 0 {
 			algo = "grid"
 		}
-		j.Add(mkRec(i, fmt.Sprintf("d%d", i), algo, float64(i)), nil, 0)
+		j.Add(mkRec(i, fmt.Sprintf("d%d", i), algo, float64(i)),
+			[]obs.Span{{Phase: "join", Wall: time.Duration(i) * time.Millisecond}})
 	}
 	if j.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", j.Len())
@@ -51,13 +53,21 @@ func TestJournalRingWraparound(t *testing.T) {
 		if recs[i].ID != want {
 			t.Fatalf("Recent[%d].ID = %d, want %d (newest first)", i, recs[i].ID, want)
 		}
+		if recs[i].Trace != nil {
+			t.Fatalf("Recent[%d] carries a trace; listings leave it off", i)
+		}
+		// Each record in the ring still has its own run's span.
+		rec, ok := j.Get(want)
+		if !ok || rec.Left != fmt.Sprintf("d%d", want) || rec.Trace == nil ||
+			len(rec.Trace.Spans) != 1 || rec.Trace.Spans[0].WallMS != float64(want) {
+			t.Fatalf("Get(%d) = %+v, %v, want its record with its %d ms span", want, rec, ok, want)
+		}
 	}
-	// IDs 1 and 2 fell off the ring.
-	if _, ok := j.Get(1); ok {
-		t.Fatal("Get(1) found a record the ring should have dropped")
-	}
-	if rec, ok := j.Get(6); !ok || rec.Left != "d6" {
-		t.Fatalf("Get(6) = %+v, %v", rec, ok)
+	// IDs 1 and 2 fell off the ring, and their spans with them.
+	for _, id := range []int64{1, 2} {
+		if rec, ok := j.Get(id); ok {
+			t.Fatalf("Get(%d) found a record the ring should have dropped: %+v", id, rec)
+		}
 	}
 
 	// Filters: dataset, algo, latency floor, limit.
@@ -72,34 +82,6 @@ func TestJournalRingWraparound(t *testing.T) {
 	}
 	if recs, _ := j.Recent(service.JournalFilter{Limit: 1}); len(recs) != 1 || recs[0].ID != 6 {
 		t.Fatalf("limit filter: %+v", recs)
-	}
-}
-
-// TestJournalSlowestRetention: only the slowest-K computed traces stay
-// resident, slowest first, and cached observations never compete.
-func TestJournalSlowestRetention(t *testing.T) {
-	j := service.NewJournal(16, 2, nil)
-	spans := func(ms float64) []obs.Span {
-		return []obs.Span{{Phase: "join", Wall: time.Duration(ms) * time.Millisecond}}
-	}
-	j.Add(mkRec(1, "d", "nm", 10), spans(10), 0)
-	j.Add(mkRec(2, "d", "nm", 30), spans(30), 0)
-	j.Add(mkRec(3, "d", "nm", 20), spans(20), 0)
-	cached := mkRec(4, "d", "nm", 99)
-	cached.Cached = true
-	j.Add(cached, nil, 0) // cache hit: no spans, no retention
-	delta := mkRec(5, "d", "delta", 99)
-	j.Add(delta, nil, 0) // no spans, nothing to retain
-
-	if got := j.RetainedTraces(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("RetainedTraces = %v, want [2 3] (slowest first)", got)
-	}
-	if _, _, ok := j.TraceFor(1); ok {
-		t.Fatal("query 1 evicted from slowest-K but TraceFor still finds it")
-	}
-	sp, _, ok := j.TraceFor(2)
-	if !ok || len(sp) != 1 || sp[0].Wall != 30*time.Millisecond {
-		t.Fatalf("TraceFor(2) = %v, %v", sp, ok)
 	}
 }
 
@@ -201,8 +183,9 @@ func getJSON(t *testing.T, url string, v any) {
 }
 
 // TestJournalConcurrent: concurrent joins (computed, cached, single-
-// flighted) all land in the journal exactly once with distinct IDs. Run
-// under -race this doubles as the locking test for ring + slowest-K.
+// flighted) all land in the journal exactly once with distinct IDs, every
+// computed one with its spans and no cache hit with any. Run under -race
+// this doubles as the locking test for the ring.
 func TestJournalConcurrent(t *testing.T) {
 	p, q := dataset.Uniform(300, 81), dataset.Uniform(300, 82)
 	svc, ts := newTestServer(t, service.Config{}, p, q)
@@ -231,21 +214,25 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 	recs, _ := j.Recent(service.JournalFilter{Limit: goroutines * perG})
 	seen := make(map[int64]bool)
+	computed := 0
 	for _, rec := range recs {
 		if seen[rec.ID] {
 			t.Fatalf("duplicate query ID %d", rec.ID)
 		}
 		seen[rec.ID] = true
-	}
-	// Every retained trace must reference a journaled computed query.
-	for _, id := range j.RetainedTraces() {
-		rec, ok := j.Get(id)
+		full, ok := j.Get(rec.ID)
 		if !ok {
-			t.Fatalf("retained trace for %d, which is not in the ring", id)
+			t.Fatalf("listed query %d not in the ring", rec.ID)
 		}
-		if rec.Cached {
-			t.Fatalf("retained trace for cached query %d", id)
+		if traced := full.Trace != nil && len(full.Trace.Spans) > 0; traced == rec.Cached {
+			t.Fatalf("query %d: cached %v, traced %v; every computed run keeps its spans and no cache hit has any", rec.ID, rec.Cached, traced)
 		}
+		if !rec.Cached {
+			computed++
+		}
+	}
+	if computed == 0 || computed == len(recs) {
+		t.Fatalf("%d of %d joins computed; the test needs both computed runs and cache hits", computed, len(recs))
 	}
 }
 
@@ -307,8 +294,8 @@ func TestDebugQueriesEndpoints(t *testing.T) {
 	if list.Queries[0].ID < list.Queries[1].ID {
 		t.Fatal("list not newest first")
 	}
-	if len(list.RetainedTraces) == 0 {
-		t.Fatal("no retained traces listed")
+	if list.Queries[0].Trace != nil || list.Queries[1].Trace != nil {
+		t.Fatal("listed records carry traces; only the {id} view does")
 	}
 
 	var filtered service.QueriesResponse
@@ -321,8 +308,8 @@ func TestDebugQueriesEndpoints(t *testing.T) {
 		t.Fatalf("combined filter returned %d", filtered.Returned)
 	}
 
-	// Single record: the nm join is computed, so its trace is retained and
-	// the {id} view embeds it.
+	// Single record: the nm join is computed, so its record keeps its
+	// trace and the {id} view embeds it.
 	var rec service.JournalRecord
 	getJSON(t, ts.URL+fmt.Sprintf("/debug/queries/%d", jrNM.QueryID), &rec)
 	if rec.ID != jrNM.QueryID || rec.Trace == nil || len(rec.Trace.Spans) == 0 {
@@ -355,11 +342,21 @@ func TestDebugQueriesEndpoints(t *testing.T) {
 		}
 	}
 
-	// Unknown IDs and bad IDs.
+	// A cache hit ran nothing: its record has no trace, and its
+	// trace.json 404s like an unknown ID's.
+	hit := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
+	var hitRec service.JournalRecord
+	getJSON(t, ts.URL+fmt.Sprintf("/debug/queries/%d", hit.QueryID), &hitRec)
+	if !hit.Cached || hitRec.ID != hit.QueryID || hitRec.Trace != nil {
+		t.Fatalf("cache hit (cached %v): record %+v, want no trace", hit.Cached, hitRec)
+	}
+
+	// Unknown IDs, bad IDs and the cache hit's trace.
 	for path, want := range map[string]int{
-		"/debug/queries/999999":            http.StatusNotFound,
-		"/debug/queries/999999/trace.json": http.StatusNotFound,
-		"/debug/queries/bogus":             http.StatusBadRequest,
+		"/debug/queries/999999":                                  http.StatusNotFound,
+		"/debug/queries/999999/trace.json":                       http.StatusNotFound,
+		"/debug/queries/bogus":                                   http.StatusBadRequest,
+		fmt.Sprintf("/debug/queries/%d/trace.json", hit.QueryID): http.StatusNotFound,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,9 +202,12 @@ func TestMutateWideStarBuildsLazily(t *testing.T) {
 		t.Fatalf("mutation status %d with %d deltas", code, len(mr.Deltas))
 	}
 	m.apply(req)
-	spans, _, _ := svc.Journal().TraceFor(mr.Deltas[0].QueryID)
+	rec, _ := svc.Journal().Get(mr.Deltas[0].QueryID)
+	if rec.Trace == nil {
+		t.Fatal("the delta run kept no trace")
+	}
 	built, path := int64(-1), ""
-	for _, sp := range spans {
+	for _, sp := range rec.Trace.Spans {
 		switch {
 		case sp.Phase == "graph" && sp.Tag == "new":
 			built = sp.Items
@@ -467,16 +471,19 @@ func TestSubscribeChurn(t *testing.T) {
 }
 
 // TestDeltaTrace: a delta run is journaled as a run on Delaunay graphs,
-// with no storage and no page I/O, and with a trace: one "graph" span per
-// role whose Items is the points the run triangulated, and one "churn"
-// span whose Candidates are the summary's probes and whose tag names the
-// churn's path. The first mutation builds all three graphs and so diffs
-// two whole joins ("whole"); the next one of the same dataset finds its
-// new version's graph derived and the other two built, triangulates
-// nothing and churns on the derivation's record ("derived").
+// with no storage and no page I/O, and its ring record keeps its trace:
+// one "graph" span per role whose Items is the points the run
+// triangulated, and one "churn" span whose Candidates are the summary's
+// probes and whose tag names the churn's path. The first mutation finds
+// no graph to derive from, so its delta run builds the old version's and
+// the other dataset's graphs and derives the new version's from the old
+// one; the next mutation finds all three there. Both churn on the
+// derivation's record ("derived"). Each round's trace is read after nine
+// slower computed joins, so keeping it must not depend on the run being
+// among the slowest.
 func TestDeltaTrace(t *testing.T) {
 	p, q := dataset.Uniform(300, 141), dataset.Uniform(200, 142)
-	svc, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
+	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
 	resp, err := http.Get(ts.URL + "/join/subscribe?left=p&right=q")
 	if err != nil {
 		t.Fatal(err)
@@ -485,8 +492,7 @@ func TestDeltaTrace(t *testing.T) {
 	if !bufio.NewScanner(resp.Body).Scan() {
 		t.Fatal("no subscribed line")
 	}
-	paths := []string{"whole", "derived"} // each round's churn span tag
-	for round, want := range []map[string]int64{{"old": 300, "new": 300, "other": 200}, {"old": 0, "new": 0, "other": 0}} {
+	for round, want := range []map[string]int64{{"old": 300, "new": 0, "other": 200}, {"old": 0, "new": 0, "other": 0}} {
 		req := service.MutationRequest{
 			Insert: []service.PointJSON{{X: 1000 + 3000*float64(round), Y: 2500}},
 			Update: []service.MovePointJSON{{ID: int64(10 + round), X: 7000, Y: 7000 - 1000*float64(round)}},
@@ -497,32 +503,46 @@ func TestDeltaTrace(t *testing.T) {
 			t.Fatalf("round %d: mutation status %d with %d deltas", round, code, len(mr.Deltas))
 		}
 		d := mr.Deltas[0]
-		rec, ok := svc.Journal().Get(d.QueryID)
-		if !ok || rec.Algo != "delta" || rec.Storage != "" || rec.Stats.PageAccesses != 0 {
-			t.Fatalf("round %d: journal record %+v (found %v), want a delta run with no storage and no pages", round, rec, ok)
+		// Nine computed joins, each slower than a derived delta run.
+		for range 9 {
+			postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "grid", TopK: -1})
 		}
-		spans, _, ok := svc.Journal().TraceFor(d.QueryID)
-		if !ok {
-			t.Fatalf("round %d: the delta run kept no trace", round)
+
+		var rec service.JournalRecord
+		getJSON(t, ts.URL+fmt.Sprintf("/debug/queries/%d", d.QueryID), &rec)
+		if rec.Algo != "delta" || rec.Storage != "" || rec.Stats.PageAccesses != 0 || rec.Trace == nil {
+			t.Fatalf("round %d: journal record %+v, want a delta run with no storage, no pages and a trace", round, rec)
 		}
 		got := map[string]int64{}
-		var churn *obs.Span
-		for i, sp := range spans {
+		var churn *service.TraceSpanJSON
+		for i, sp := range rec.Trace.Spans {
 			switch sp.Phase {
 			case "graph":
 				got[sp.Tag] = sp.Items
 			case "churn":
-				churn = &spans[i]
+				churn = &rec.Trace.Spans[i]
 			}
 		}
 		if len(got) != 3 || got["old"] != want["old"] || got["new"] != want["new"] || got["other"] != want["other"] {
 			t.Fatalf("round %d: graph spans triangulated %v, want %v", round, got, want)
 		}
-		if churn == nil || churn.Tag != paths[round] || churn.Candidates != int64(d.Probes) || churn.TrueHits < 1 {
-			t.Fatalf("round %d: churn span %+v, want tag %q, %d candidates and some hits", round, churn, paths[round], d.Probes)
+		if churn == nil || churn.Tag != "derived" || churn.Candidates != int64(d.Probes) || churn.TrueHits < 1 {
+			t.Fatalf("round %d: churn span %+v, want tag \"derived\", %d candidates and some hits", round, churn, d.Probes)
 		}
-		if round == 1 && (d.Cells < 1 || d.Cells >= 300) {
-			t.Fatalf("round %d: %d cells computed, want the derived graph's few", round, d.Cells)
+		// The cells computed beyond the graphs the run built (all of
+		// their points) are the derived graph's few.
+		if few := d.Cells - int(want["old"]+want["other"]); few < 1 || few >= 300 {
+			t.Fatalf("round %d: %d cells computed, %d beyond the built graphs, want the derived graph's few", round, d.Cells, few)
+		}
+
+		var chrome struct {
+			TraceEvents []obs.ChromeTraceEvent `json:"traceEvents"`
+		}
+		getJSON(t, ts.URL+fmt.Sprintf("/debug/queries/%d/trace.json", d.QueryID), &chrome)
+		if !slices.ContainsFunc(chrome.TraceEvents, func(ev obs.ChromeTraceEvent) bool {
+			return ev.Ph == "X" && ev.Name == "churn"
+		}) {
+			t.Fatalf("round %d: trace.json has no churn event: %+v", round, chrome.TraceEvents)
 		}
 	}
 }

@@ -211,12 +211,11 @@ func (s *Service) execute(left, right *Dataset, pl Plan, hooks execHooks, tr *ob
 		panic("service: unplanned algo " + pl.Algo)
 	}
 	return &cachedResult{
-		Pairs:        res.Pairs,
-		Count:        int64(len(res.Pairs)),
-		IO:           io,
-		CPU:          time.Since(start),
-		Trace:        tr.Spans(),
-		TraceDropped: tr.Dropped(),
+		Pairs: res.Pairs,
+		Count: int64(len(res.Pairs)),
+		IO:    io,
+		CPU:   time.Since(start),
+		Trace: tr.Spans(),
 	}
 }
 

@@ -213,7 +213,7 @@ func TestTracedFollowerGetsLeaderSpans(t *testing.T) {
 		t.Fatal("follower did not share the leader's computation")
 	}
 	got, _ := json.Marshal(resp.Trace)
-	want, _ := json.Marshal(NewTraceJSON(out.Result.Trace, out.Result.TraceDropped))
+	want, _ := json.Marshal(NewTraceJSON(out.Result.Trace))
 	if resp.Trace == nil || !bytes.Equal(got, want) {
 		t.Fatalf("follower trace %s, want the leader's %s", got, want)
 	}

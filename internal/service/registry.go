@@ -57,8 +57,8 @@ type Dataset struct {
 	// freezes it; plans with Storage "flat" read it.
 	flat lazy[*rtree.Tree]
 	// graph is the version's Delaunay graph with its Voronoi cells, built
-	// on first use (Graph) unless PrepareMutation derived it from the
-	// parent's; no version shares another's.
+	// on first use (Graph) unless derived from the parent's (deriveGraph);
+	// no version shares another's.
 	graph lazy[*grid.Graph]
 }
 
@@ -117,7 +117,7 @@ func (d *Dataset) JoinPoints() (pts []geom.Point, ids []int64) {
 // reports pairs under their IDs, and how many points this call
 // triangulated. The first caller builds it (triangulated == Live);
 // concurrent callers wait for that build and later ones reuse it (0), as
-// every caller does of a graph PrepareMutation derived. A build that
+// every caller does of a derived graph. A build that
 // panics panics again for every caller.
 func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
 	g, built := d.graph.get(func() *grid.Graph {
@@ -128,6 +128,19 @@ func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
 		triangulated = d.Live
 	}
 	return g, triangulated
+}
+
+// deriveGraph gives d, unless its graph is already there, the graph
+// grid.Derive computes from parent, the previous version's; when Derive
+// declines, Graph builds d's on first use.
+func (d *Dataset) deriveGraph(parent *grid.Graph) {
+	if _, ok := d.graph.peek(); ok {
+		return
+	}
+	pts, ids := d.JoinPoints()
+	if g := grid.Derive(parent, pts, ids); g != nil {
+		d.graph.set(g)
+	}
 }
 
 // lazy builds a value at most once, with sync.OnceValue's semantics (one
@@ -381,9 +394,10 @@ func (p *PreparedMutation) Spec() MutationSpec { return p.spec }
 // builds the next version beside it — everything Mutate does short of
 // installing. When the current version's Delaunay graph is built, the
 // next version's is derived from it by local edits (grid.Derive), which
-// reads the parent's and writes only its own; otherwise, or when Derive
-// declines (a removed point's star too wide), the next version builds its
-// own on first use, as an ingested one does.
+// reads the parent's and writes only its own; otherwise the next
+// version's graph waits for its first use, where a delta run derives it
+// and a join builds it, as an ingested one's. When Derive declines (a
+// removed point's star too wide), the first use builds it.
 func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMutation, error) {
 	d, ok := r.Get(name)
 	if !ok {
@@ -476,10 +490,7 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 		Tree:   mt,
 	}, r.bufferPct)
 	if g, ok := d.graph.peek(); ok {
-		pts, ids := cur.JoinPoints()
-		if derived := grid.Derive(g, pts, ids); derived != nil {
-			cur.graph.set(derived)
-		}
+		cur.deriveGraph(g)
 	}
 	return &PreparedMutation{name: name, old: d, cur: cur, spec: spec, changes: changes}, nil
 }

@@ -288,7 +288,7 @@ func (s *Service) handleJoinStream(w http.ResponseWriter, r *http.Request) {
 	}
 	begin()
 	if wantTrace {
-		if tj := NewTraceJSON(out.Result.Trace, out.Result.TraceDropped); tj != nil {
+		if tj := NewTraceJSON(out.Result.Trace); tj != nil {
 			enc.Encode(StreamTrace{Type: "trace", TraceJSON: *tj})
 		}
 	}

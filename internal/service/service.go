@@ -121,7 +121,7 @@ func New(cfg Config) *Service {
 		hub:     newSubHub(),
 		start:   time.Now(),
 		logger:  logger,
-		journal: NewJournal(DefaultJournalEntries, DefaultJournalSlowest, cfg.JournalSink),
+		journal: NewJournal(DefaultJournalEntries, cfg.JournalSink),
 	}
 	s.metrics = newServiceMetrics(s)
 	s.cache = newResultCache(cfg.CacheEntries, s.metrics.cacheHits, s.metrics.cacheMisses, s.metrics.cacheEvictions)
@@ -370,7 +370,7 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 
 // record journals one served join: the planner's inputs and narrated
 // reason next to the measured outcome, with the computed run's phase
-// spans competing for slowest-K retention. The record's Stats is built by
+// spans (none for a cache hit). The record's Stats is built by
 // the same projection the JoinResponse uses, so the two are byte-equal.
 // The journal line must stand alone as a training observation, so it
 // carries the full decision context the plan recorded, not a pointer to
@@ -394,11 +394,10 @@ func (s *Service) record(out *Outcome) *Outcome {
 		Slow:         !out.Cached && s.cfg.SlowQuery > 0 && out.Result.CPU >= s.cfg.SlowQuery,
 	}
 	var spans []obs.Span
-	var dropped int64
 	if !out.Cached {
-		spans, dropped = out.Result.Trace, out.Result.TraceDropped
+		spans = out.Result.Trace
 	}
-	s.journal.Add(rec, spans, dropped)
+	s.journal.Add(rec, spans)
 	return out
 }
 
@@ -418,7 +417,7 @@ func (s *Service) compute(ctx context.Context, out *Outcome, key string, hooks e
 	wait := time.Since(waitStart)
 	s.metrics.admissionWait.Observe(wait.Seconds())
 
-	// Every computed join is traced: the journal's slowest-K retention, the
+	// Every computed join is traced: its journal record, the
 	// slow-query log and every request served this result — the one that
 	// computed it, a later cache hit or a single-flight follower — read
 	// the same spans. A request's trace flag only decides whether its

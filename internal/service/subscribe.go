@@ -242,9 +242,11 @@ func (s *Service) propagateMutation(old, cur *Dataset, changes []delta.Change) [
 // and books the run on every observability surface a full join would hit
 // — query ID, journal record (algo "delta") with its trace, latency
 // histogram, structured log. The new version's graph is normally derived
-// already (PrepareMutation); a graph no earlier request built is built
-// here, and its "graph" span says so. The "churn" span's tag names the
-// churn's path: "derived" when it diffed the derivation's record,
+// already (PrepareMutation); when the mutation found no parent graph to
+// derive from, the run derives it here from the old version's, which it
+// fetches first, and builds it only when Derive declines. A graph built
+// here shows in its "graph" span's Items. The "churn" span's tag names
+// the churn's path: "derived" when it diffed the derivation's record,
 // "whole" when it diffed two whole joins.
 func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, changes []delta.Change) *DeltaSummaryJSON {
 	mutatedLeft := leftName == cur.Name
@@ -267,6 +269,9 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 		d   *Dataset
 	}{{"old", old}, {"new", cur}, {"other", other}} {
 		t := time.Now()
+		if i == 1 {
+			cur.deriveGraph(graphs[0])
+		}
 		g, triangulated := role.d.Graph()
 		tr.Add("graph", role.tag, time.Since(t), obs.Counters{Items: int64(triangulated)})
 		if graphs[i] = g; i == 1 || triangulated > 0 {
@@ -327,7 +332,7 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 			RightPoints: rd.Live,
 			TotalPoints: ld.Live + rd.Live,
 		},
-	}, tr.Spans(), tr.Dropped())
+	}, tr.Spans())
 	s.logger.Info("delta computed",
 		"query_id", qid,
 		"left", leftName, "right", rightName,

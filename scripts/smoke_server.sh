@@ -250,6 +250,23 @@ if [ "$deltas" -ne 2 ]; then
   exit 1
 fi
 
+# A delta run's journal record keeps its trace: the first delta line's
+# query ID serves a Chrome trace that holds the run's churn span.
+delta_qid=$(sed -n 's/.*"type":"delta","query_id":\([0-9][0-9]*\).*/\1/p' "$tmp/churn.ndjson" | head -n 1)
+if [ -z "$delta_qid" ]; then
+  echo "delta line carries no query_id"
+  cat "$tmp/churn.ndjson"
+  exit 1
+fi
+delta_trace=$(curl -sf "$base/debug/queries/$delta_qid/trace.json") || {
+  echo "delta run $delta_qid serves no trace.json"
+  exit 1
+}
+printf '%s' "$delta_trace" | grep -q '"name":"churn"' || {
+  echo "delta run $delta_qid's trace has no churn event: $delta_trace"
+  exit 1
+}
+
 # Insert + delete of the same point restores the live count; the
 # tombstone stays on the books.
 curl -sf "$base/datasets" | grep -q '"name":"a","version":3,"points":2000,"tombstones":1' || {
@@ -291,4 +308,4 @@ curl -sf -X POST "$base/join" -H 'Content-Type: application/json' \
 
 kill "$subpid" 2>/dev/null || true
 
-echo "server smoke OK: $count pairs, cache hit, stream summary, pm refused, explain, trace, /metrics, journal, history and live mutation churn verified"
+echo "server smoke OK: $count pairs, cache hit, stream summary, pm refused, explain, trace, /metrics, journal, history, live mutation churn and its delta trace verified"
