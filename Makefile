@@ -31,10 +31,11 @@ race:
 # service takes from outside: CSV ingest bodies, the WAL and snapshot page
 # files, and the join and mutation requests through the HTTP handlers
 # (never a 5xx, so never a panic); over the grid backend's filtered
-# orient/incircle predicates against exact math/big evaluation; and over
+# orient/incircle predicates against exact math/big evaluation; over
 # graphs derived by local edits on a degenerate lattice against fresh
 # builds of the same points, and their churn against the diff of whole
-# joins. Every
+# joins; and over the join predicate's clip-free filter against the clip
+# on Voronoi cells of degenerate lattice sets. Every
 # `go test` run replays each target's seed corpus; this searches past it.
 # Minimizing a new input may take 10 executions at most: the default
 # (60s) spends a whole window shrinking the first 3 KB snapshot, and a
@@ -49,6 +50,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzMutationRequest$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run xxx -fuzz '^FuzzPredicates$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/grid
 	$(GO) test -run xxx -fuzz '^FuzzDeriveGraph$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/grid
+	$(GO) test -run xxx -fuzz '^FuzzCellsJoin$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/core
 
 check: build vet race fuzz crash-smoke smoke-server bench-module-smoke
 

@@ -145,9 +145,13 @@
 //     Near-twins tie in floats, so the walk steps from whole clusters.
 //
 // Every candidate pair goes through core.CellsJoinWith, the predicate all
-// engines share. A cell takes about six clips whatever the density, so a
-// point mass costs what uniform data does; a tight near-twin cluster of k
-// sites costs O(k) clips per member, paid once, in its version's build.
+// engines share. Its clip-free filter decides about 94% of the tests on
+// uniform, city-shaped and clustered data (TestSettleDecidesMost in
+// internal/core), where an edge of one cell has the other wholly outside
+// it or a corner of one lies deep inside the other; only the rest are
+// clipped. A cell takes about six clips whatever the density, so a point
+// mass costs what uniform data does; a tight near-twin cluster of k sites
+// costs O(k) clips per member, paid once, in its version's build.
 //
 // # Parallel flood
 //

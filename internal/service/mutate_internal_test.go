@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -218,5 +219,31 @@ func TestFlatCopyLazy(t *testing.T) {
 		if !core.SamePairs(got, want) {
 			t.Fatalf("version %d: the flat copy joins %d pairs, the paged tree %d", d.Version, len(got), len(want))
 		}
+	}
+}
+
+// TestDeclinedDeriveRunsOnce: once grid.Derive has declined a version's
+// graph (the hub of an 80-point wheel is gone, a star wider than Derive
+// edits), a later deriveGraph must not reach Derive again, which would
+// dereference the nil parent handed to it here; Graph then builds the
+// version's graph.
+func TestDeclinedDeriveRunsOnce(t *testing.T) {
+	pts := []geom.Point{geom.Pt(5000, 5000)}
+	for k := range 80 {
+		a := 2 * math.Pi * float64(k) / 80
+		pts = append(pts, geom.Pt(5000+100*math.Cos(a), 5000+100*math.Sin(a)))
+	}
+	alive := make([]bool, len(pts))
+	for i := 1; i < len(alive); i++ {
+		alive[i] = true
+	}
+	d := &Dataset{Points: pts, Alive: alive, Live: len(pts) - 1}
+	d.deriveGraph(grid.NewGraph(pts, nil, dataset.Domain))
+	if _, ok := d.graph.peek(); ok {
+		t.Fatal("Derive edited a star of 80 corners")
+	}
+	d.deriveGraph(nil)
+	if _, built := d.Graph(); built != d.Live {
+		t.Fatalf("Graph triangulated %d points, want %d", built, d.Live)
 	}
 }

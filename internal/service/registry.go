@@ -60,6 +60,8 @@ type Dataset struct {
 	// on first use (Graph) unless derived from the parent's (deriveGraph);
 	// no version shares another's.
 	graph lazy[*grid.Graph]
+	// derived makes deriveGraph try grid.Derive at most once per version.
+	derived sync.Once
 }
 
 // View returns a read-only handle on the dataset's tree whose I/O goes
@@ -132,15 +134,19 @@ func (d *Dataset) Graph() (g *grid.Graph, triangulated int) {
 
 // deriveGraph gives d, unless its graph is already there, the graph
 // grid.Derive computes from parent, the previous version's; when Derive
-// declines, Graph builds d's on first use.
+// declines, Graph builds d's on first use. Only the first call tries:
+// a later one, such as the delta run's after PrepareMutation's declined
+// derivation, returns at once.
 func (d *Dataset) deriveGraph(parent *grid.Graph) {
-	if _, ok := d.graph.peek(); ok {
-		return
-	}
-	pts, ids := d.JoinPoints()
-	if g := grid.Derive(parent, pts, ids); g != nil {
-		d.graph.set(g)
-	}
+	d.derived.Do(func() {
+		if _, ok := d.graph.peek(); ok {
+			return
+		}
+		pts, ids := d.JoinPoints()
+		if g := grid.Derive(parent, pts, ids); g != nil {
+			d.graph.set(g)
+		}
+	})
 }
 
 // lazy builds a value at most once, with sync.OnceValue's semantics (one
